@@ -151,7 +151,10 @@ def main():
         "host": {
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
-            "build_type": context.get("library_build_type"),
+            # tbf's own CMAKE_BUILD_TYPE (micro_core publishes it); the library's field
+            # describes the system libbenchmark package, not the code under test.
+            "build_type": context.get("tbf_build_type"),
+            "benchmark_library_build_type": context.get("library_build_type"),
         },
         "benchmarks": benchmarks,
     }

@@ -25,16 +25,7 @@
 #include "tbf/net/packet.h"
 #include "tbf/scenario/wlan.h"
 #include "tbf/sim/simulator.h"
-
-// The sweep-runner suite benchmark only exists once the sweep subsystem landed; this
-// probe keeps the file buildable against the pre-sweep library for the BENCH_*.json
-// baseline protocol (bench/README.md).
-#if defined(__has_include)
-#if __has_include("tbf/sweep/sweep_runner.h")
-#define TBF_HAVE_SWEEP 1
 #include "tbf/sweep/sweep_runner.h"
-#endif
-#endif
 
 namespace {
 
@@ -252,7 +243,6 @@ void BM_ManyStationCell(benchmark::State& state) {
 }
 BENCHMARK(BM_ManyStationCell)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
-#ifdef TBF_HAVE_SWEEP
 void BM_ScenarioSweep(benchmark::State& state) {
   // Wall-clock of a representative 8-scenario figure/table grid on an N-thread pool.
   // Arg(1) is the serial reference; the per-iteration real time IS the suite wall-clock
@@ -291,7 +281,6 @@ void BM_ScenarioSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-#endif  // TBF_HAVE_SWEEP
 
 void BM_FairnessModelAllocation(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -322,4 +311,16 @@ BENCHMARK(BM_TaskModel)->Arg(8)->Arg(64);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the build type of tbf itself in the output's context block:
+// google-benchmark's own `library_build_type` describes the system libbenchmark, not
+// this binary (bench/compare_bench.py records both).
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::AddCustomContext("tbf_build_type", TBF_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

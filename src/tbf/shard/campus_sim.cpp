@@ -1,11 +1,11 @@
 #include "tbf/shard/campus_sim.h"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <thread>
 
 #include "tbf/scenario/flow_engine.h"
@@ -91,79 +91,169 @@ struct CampusSim::FlowState {
   int64_t remote_snapshot = 0;
 };
 
-// Persistent window pool: `threads` workers claim shard indices from a shared counter
-// and advance them to the window end. Claims and completion counts are mutex-guarded
-// (plain mutex happens-before on both edges of every window, which both the memory
-// model and TSan reason about directly); the shard advance itself runs unlocked -
-// shards share no mutable state, so no further synchronization exists or is needed.
+namespace {
+
+// Spin budget before a barrier waiter parks. A window costs tens of microseconds of
+// shard work, so a waiter that spins this long almost always sees the next edge
+// without a futex round-trip; on an oversubscribed host (ctest -j, sanitizers) it
+// parks instead of burning a CPU the running shards need.
+constexpr std::chrono::microseconds kSpinBudget{50};
+
+// Windows between re-cuts of the slice bounds.
+constexpr int64_t kRecutWindows = 256;
+
+void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Waits until `word` no longer holds `old` and returns its new value: a bounded
+// pause-spin, then a park on the word itself. Every 64 pauses the spinner also yields,
+// so a thread it shares a CPU with (the one it is waiting for, on a busy host) can run.
+uint32_t AwaitChange(const std::atomic<uint32_t>& word, uint32_t old) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+  for (uint32_t spins = 1;; ++spins) {
+    const uint32_t now = word.load(std::memory_order_acquire);
+    if (now != old) {
+      return now;
+    }
+    if (spins % 64 == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        break;
+      }
+      std::this_thread::yield();
+    } else {
+      CpuRelax();
+    }
+  }
+  word.wait(old, std::memory_order_acquire);
+  return word.load(std::memory_order_acquire);
+}
+
+}  // namespace
+
+// Persistent window pool: the calling thread runs slice 0 and `threads - 1` workers run
+// the others. Slice k is the contiguous shard range [bounds_[k], bounds_[k+1]).
+//
+// A window opens with a release increment of `generation_` (after the coordinator has
+// written the window end and any new bounds) and closes with an acq_rel countdown of
+// `pending_`; those two edges order every shard's state between the coordinator's
+// barrier work and whichever thread advances the shard next. Shards share no mutable
+// state, so no further synchronization exists or is needed.
+//
+// Every kRecutWindows windows the coordinator re-cuts the bounds so each slice holds
+// about the same number of fired events (the core shard alone can do the work of many
+// cells). A cut only changes which thread advances a shard, never what it computes.
 class CampusSim::Pool {
  public:
-  Pool(CampusSim* owner, int threads, size_t shards) : owner_(owner), total_(shards) {
-    workers_.reserve(static_cast<size_t>(threads));
-    for (int i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
+  Pool(CampusSim* owner, int threads, size_t shards)
+      : owner_(owner),
+        slices_(static_cast<size_t>(threads)),
+        bounds_(slices_ + 1),
+        events_(shards, 0) {
+    for (size_t k = 0; k <= slices_; ++k) {
+      bounds_[k] = shards * k / slices_;
+    }
+    workers_.reserve(slices_ - 1);
+    try {
+      for (size_t k = 1; k < slices_; ++k) {
+        workers_.emplace_back([this, k] { WorkerLoop(k); });
+      }
+    } catch (...) {
+      StopWorkers();  // Threads already started must not outlive a failed constructor.
+      throw;
     }
   }
 
-  ~Pool() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_ = true;
+  Pool(const Pool&) = delete;
+  Pool& operator=(const Pool&) = delete;
+  ~Pool() { StopWorkers(); }
+
+  // Advances every shard to `until`; returns when all have arrived at the barrier.
+  void RunWindow(TimeNs until) {
+    if (++windows_ % kRecutWindows == 0) {
+      Recut();
     }
-    work_cv_.notify_all();
+    window_ = until;
+    pending_.store(static_cast<uint32_t>(workers_.size()), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    RunSlice(0, until);
+    for (uint32_t left = pending_.load(std::memory_order_acquire); left != 0;) {
+      left = AwaitChange(pending_, left);
+    }
+  }
+
+ private:
+  void StopWorkers() {
+    stop_ = true;
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
     for (std::thread& worker : workers_) {
       worker.join();
     }
   }
 
-  // Advances every shard to `until`; returns when all have arrived at the barrier.
-  void RunWindow(TimeNs until) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      window_ = until;
-      next_ = 0;
-      done_ = 0;
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return done_ == total_; });
-  }
-
- private:
-  void WorkerLoop() {
-    int64_t seen = 0;
-    std::unique_lock<std::mutex> lock(mu_);
+  void WorkerLoop(size_t slice) {
+    uint32_t seen = 0;
     for (;;) {
-      work_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      seen = AwaitChange(generation_, seen);
       if (stop_) {
         return;
       }
-      seen = generation_;
-      const TimeNs until = window_;
-      while (next_ < total_) {
-        const size_t shard = next_++;
-        lock.unlock();
-        owner_->AdvanceShard(shard, until);
-        lock.lock();
-        if (++done_ == total_) {
-          done_cv_.notify_all();
-        }
+      RunSlice(slice, window_);
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        pending_.notify_one();
       }
     }
   }
 
+  void RunSlice(size_t slice, TimeNs until) {
+    for (size_t shard = bounds_[slice]; shard < bounds_[slice + 1]; ++shard) {
+      events_[shard] += owner_->AdvanceShard(shard, until);
+    }
+  }
+
+  // Cuts the shard order into non-empty slices of roughly equal event counts since the
+  // last cut (a shard joins the earlier slice when at least half of it falls before the
+  // target), then restarts the counts.
+  void Recut() {
+    int64_t total = 0;
+    for (const int64_t events : events_) {
+      total += events;
+    }
+    if (total == 0) {
+      return;
+    }
+    const size_t shards = events_.size();
+    size_t shard = 0;
+    int64_t before = 0;  // Events of shards [0, shard).
+    for (size_t k = 1; k < slices_; ++k) {
+      const int64_t target =
+          total * static_cast<int64_t>(k) / static_cast<int64_t>(slices_);
+      const size_t last = shards - (slices_ - k);  // Leave a shard for each later slice.
+      before += events_[shard++];                  // Slice k - 1 takes at least one.
+      while (shard < last && before + events_[shard] / 2 < target) {
+        before += events_[shard++];
+      }
+      bounds_[k] = shard;
+    }
+    std::fill(events_.begin(), events_.end(), 0);
+  }
+
   CampusSim* owner_;
-  const size_t total_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::vector<std::thread> workers_;
+  const size_t slices_;
+  std::vector<size_t> bounds_;  // Written by the coordinator between windows only.
+  std::vector<int64_t> events_;  // [i] written only by the thread advancing shard i.
+  std::atomic<uint32_t> generation_{0};
+  std::atomic<uint32_t> pending_{0};  // Workers still inside the current window.
   TimeNs window_ = 0;
-  size_t next_ = 0;
-  size_t done_ = 0;
-  int64_t generation_ = 0;
+  int64_t windows_ = 0;
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // Last: the threads use every member above.
 };
 
 CampusSim::CampusSim(scenario::CampusConfig config, int threads)
@@ -430,12 +520,9 @@ void CampusSim::BuildFlows() {
   }
 }
 
-void CampusSim::AdvanceShard(size_t index, TimeNs until) {
-  if (index < cells_.size()) {
-    cells_[index]->sim.RunUntil(until);
-  } else {
-    core_->sim.RunUntil(until);
-  }
+int64_t CampusSim::AdvanceShard(size_t index, TimeNs until) {
+  sim::Simulator& sim = index < cells_.size() ? cells_[index]->sim : core_->sim;
+  return sim.RunUntil(until);
 }
 
 // Drains every mailbox at a window barrier, on the coordinator thread, in a fixed
@@ -482,8 +569,14 @@ void CampusSim::RunWindows(TimeNs until) {
     // Windowed metrology: seal every interval that ended at or before this barrier,
     // merging child windows into the campus engine in fixed order (cells ascending,
     // then core) before the campus engine seals - the same determinism recipe as the
-    // mailbox drain above. All on the coordinator thread; shard threads are parked.
-    if (config_.cell.stats.window > 0) {
+    // mailbox drain above. All on the coordinator thread, between windows.
+    //
+    // Only a barrier that crosses a stats-window boundary can have anything to seal:
+    // every sample of this window is stamped with a shard clock in (t_, window_end],
+    // so it lands in a window index >= t_ / stats.window, which the previous barrier
+    // left open. Skipping the other barriers is exact, not an approximation.
+    const TimeNs stats_window = config_.cell.stats.window;
+    if (stats_window > 0 && window_end / stats_window > t_ / stats_window) {
       for (std::unique_ptr<CellShard>& cell : cells_) {
         cell->stats.SealWindowsUpTo(window_end, &campus_stats_);
       }

@@ -19,7 +19,7 @@
 // (per cell ascending: core->cell first, then cell->core), so equal-timestamp delivery
 // events always carry the same schedule sequence numbers. Results are therefore
 // bit-identical for any shard-thread count and any thread schedule - CI diffs the
-// campus bench output across TBF_SHARD_THREADS=1/2/4 to hold that line.
+// campus bench output across TBF_SHARD_THREADS=1/2/3/4 to hold that line.
 #ifndef TBF_SHARD_CAMPUS_SIM_H_
 #define TBF_SHARD_CAMPUS_SIM_H_
 
@@ -71,7 +71,9 @@ class CampusSim {
   void BuildCell(size_t index);
   void BuildFlows();
   void RunWindows(TimeNs until);
-  void AdvanceShard(size_t index, TimeNs until);
+  // Runs shard `index` (cells ascending, then the core) to `until`; returns the number
+  // of events it fired.
+  int64_t AdvanceShard(size_t index, TimeNs until);
   void DrainMailboxes();
 
   scenario::CampusConfig config_;

@@ -7,8 +7,8 @@
 //
 // A Mailbox is a plain vector: exactly one shard appends to it during a window (the
 // owner of the sending ShardLink) and only the coordinator reads it, between windows,
-// when every shard thread has been joined at the barrier. The barrier's happens-before
-// is the only synchronization the mailbox needs - no atomics, no locks.
+// after every shard thread has counted itself out of the window barrier. The barrier's
+// happens-before is the only synchronization the mailbox needs - no atomics, no locks.
 #ifndef TBF_SHARD_MAILBOX_H_
 #define TBF_SHARD_MAILBOX_H_
 

@@ -154,6 +154,39 @@ TEST(ShardCampusTest, WindowedMetrologyBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ShardCampusTest, SkewedCampusBitIdenticalAcrossSliceCuts) {
+  // One saturated 16-station cell among 1-station cells: the pool re-cuts its
+  // event-balanced slices every 256 windows, so the heavy cell changes threads during
+  // the run. 3 threads splits the shards unevenly; 64 exercises the clamp to the shard
+  // count. A 3 ms lookahead does not divide the 100 ms stats window, so barriers cross
+  // stats-window boundaries mid-window and most barriers have nothing to seal.
+  auto run = [](int threads) {
+    CampusConfig config = SmallCampusConfig(QdiscKind::kTbr);
+    config.backbone_delay = Ms(3);
+    config.cell.stats.window = Ms(100);
+    config.cell.stats.top_k = 3;
+    config.cell.stats.sample_every = 2;
+    CampusSim campus(config, threads);
+    for (int i = 0; i < 7; ++i) {
+      if (i == 2) {
+        campus.AddBss(MakeBss(16, Direction::kUplink, Transport::kTcp));
+        continue;
+      }
+      BssSpec light = MakeBss(1, Direction::kDownlink, Transport::kTcp);
+      light.flows[0].app_limit_bps = 100000;
+      campus.AddBss(light);
+    }
+    return campus.Run();
+  };
+  const CampusResults serial = run(1);
+  EXPECT_GT(serial.windows, 256);
+  EXPECT_FALSE(serial.goodput_series.windows.empty());
+  EXPECT_GT(serial.cells[2].mac_exchanges, 4 * serial.cells[0].mac_exchanges);
+  for (const int threads : {2, 3, 4, 64}) {
+    EXPECT_EQ(run(threads), serial) << threads;
+  }
+}
+
 TEST(ShardDeterminismTest, ThreadScheduleStability) {
   // Repeated multi-threaded runs exercise different OS thread schedules; the barrier
   // protocol must make every one of them produce the same bits.
