@@ -2,6 +2,7 @@
 
 #include <array>
 #include <bit>
+#include <cstring>
 
 #include "tbf/util/logging.h"
 
@@ -509,32 +510,59 @@ bool GetByteSeries(ByteReader& r, stats::ByteSeries* out) {
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
+  // Slicing-by-8 over the reflected IEEE polynomial: tables[0] is the classic bytewise
+  // table, and tables[k][b] advances tables[k-1][b] by one more zero byte, so one
+  // lookup per byte of an 8-byte block folds the whole block into the register.
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
+      }
     }
     return t;
   }();
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
   uint32_t crc = 0xffffffffu;
-  for (const char ch : data) {
-    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 | uint32_t{p[6]} << 16 |
+                        uint32_t{p[7]} << 24;
+    crc = tables[7][lo & 0xffu] ^ tables[6][(lo >> 8) & 0xffu] ^
+          tables[5][(lo >> 16) & 0xffu] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xffu] ^ tables[2][(hi >> 8) & 0xffu] ^
+          tables[1][(hi >> 16) & 0xffu] ^ tables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = tables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }
 
 std::string HexEncode(std::string_view bytes) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
+  // kPairs[b] is the two digits of byte b, so each byte is one 2-byte copy.
+  static const auto kPairs = [] {
+    constexpr char kDigits[] = "0123456789abcdef";
+    std::array<std::array<char, 2>, 256> t{};
+    for (size_t b = 0; b < 256; ++b) {
+      t[b] = {kDigits[b >> 4], kDigits[b & 0xf]};
+    }
+    return t;
+  }();
+  std::string out(bytes.size() * 2, '\0');
+  char* dst = out.data();
   for (const char ch : bytes) {
-    const auto b = static_cast<unsigned char>(ch);
-    out.push_back(kDigits[b >> 4]);
-    out.push_back(kDigits[b & 0xf]);
+    std::memcpy(dst, kPairs[static_cast<unsigned char>(ch)].data(), 2);
+    dst += 2;
   }
   return out;
 }
@@ -543,26 +571,30 @@ bool HexDecode(std::string_view hex, std::string* out) {
   if (hex.size() % 2 != 0) {
     return false;
   }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') {
-      return c - '0';
+  // kNibble maps a lowercase hex digit to its value and every other byte to 0xff;
+  // OR-ing all nibbles together flags any bad digit with one test at the end.
+  static const auto kNibble = [] {
+    std::array<uint8_t, 256> t{};
+    t.fill(0xff);
+    for (int c = 0; c < 10; ++c) {
+      t['0' + c] = static_cast<uint8_t>(c);
     }
-    if (c >= 'a' && c <= 'f') {
-      return c - 'a' + 10;
+    for (int c = 0; c < 6; ++c) {
+      t['a' + c] = static_cast<uint8_t>(10 + c);
     }
-    return -1;
-  };
-  out->clear();
-  out->reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = nibble(hex[i]);
-    const int lo = nibble(hex[i + 1]);
-    if (hi < 0 || lo < 0) {
-      return false;
-    }
-    out->push_back(static_cast<char>((hi << 4) | lo));
+    return t;
+  }();
+  out->resize(hex.size() / 2);
+  const auto* src = reinterpret_cast<const unsigned char*>(hex.data());
+  char* dst = out->data();
+  uint8_t bad = 0;
+  for (size_t i = 0; i < out->size(); ++i) {
+    const uint8_t hi = kNibble[src[2 * i]];
+    const uint8_t lo = kNibble[src[2 * i + 1]];
+    bad |= hi | lo;
+    dst[i] = static_cast<char>((hi << 4) | lo);
   }
-  return true;
+  return (bad & 0xf0) == 0;
 }
 
 std::string EncodeJob(const CampaignJob& job) {
@@ -680,21 +712,19 @@ bool DecodeResults(std::string_view data, scenario::Results* out) {
   return true;
 }
 
-MergedSummary MergeResults(const std::vector<scenario::Results>& results) {
-  MergedSummary merged;
-  merged.jobs = static_cast<int64_t>(results.size());
-  for (const scenario::Results& r : results) {  // Manifest order: deterministic.
-    merged.tasks_completed += r.tasks_completed;
-    merged.mac_exchanges += r.mac_exchanges;
-    merged.aggregate_bps_sum += r.aggregate_bps;
-    merged.rtt.Merge(r.rtt_sketch);
-    merged.ap_queue_delay.Merge(r.ap_queue_delay_sketch);
-    merged.task_latency.Merge(r.task_latency_sketch);
-  }
-  return merged;
-}
-
 namespace {
+
+// Folds one job into the trailer. Every path folds in manifest order, so the sums and
+// sketch merges run in one fixed sequence and the trailer bytes are deterministic.
+void FoldInto(MergedSummary* merged, const scenario::Results& r) {
+  ++merged->jobs;
+  merged->tasks_completed += r.tasks_completed;
+  merged->mac_exchanges += r.mac_exchanges;
+  merged->aggregate_bps_sum += r.aggregate_bps;
+  merged->rtt.Merge(r.rtt_sketch);
+  merged->ap_queue_delay.Merge(r.ap_queue_delay_sketch);
+  merged->task_latency.Merge(r.task_latency_sketch);
+}
 
 void PutMerged(ByteWriter& w, const MergedSummary& m) {
   w.I64(m.jobs);
@@ -717,15 +747,30 @@ bool GetMerged(ByteReader& r, MergedSummary* m) {
 
 }  // namespace
 
+MergedSummary MergeResults(const std::vector<scenario::Results>& results) {
+  MergedSummary merged;
+  for (const scenario::Results& r : results) {
+    FoldInto(&merged, r);
+  }
+  return merged;
+}
+
 std::string EncodeArchive(const std::vector<std::string>& result_blobs) {
-  std::vector<scenario::Results> decoded;
-  decoded.reserve(result_blobs.size());
+  // One decoded Results is live at a time: each blob is validated and folded into
+  // the trailer as soon as it decodes.
+  MergedSummary merged;
+  size_t body_bytes = 0;
   for (const std::string& blob : result_blobs) {
     scenario::Results r;
     TBF_CHECK(DecodeResults(blob, &r)) << "archive built from an invalid Results blob";
-    decoded.push_back(std::move(r));
+    FoldInto(&merged, r);
+    body_bytes += 8 + blob.size();
   }
+  ByteWriter trailer;
+  PutMerged(trailer, merged);
+
   ByteWriter w;
+  w.str().reserve(12 + body_bytes + trailer.str().size());
   w.U32(kArchiveMagic);
   w.U32(kArchiveVersion);
   w.U32(static_cast<uint32_t>(result_blobs.size()));
@@ -734,7 +779,7 @@ std::string EncodeArchive(const std::vector<std::string>& result_blobs) {
     w.U32(Crc32(blob));
     w.str() += blob;
   }
-  PutMerged(w, MergeResults(decoded));
+  w.str() += trailer.str();
   return w.Take();
 }
 
@@ -759,7 +804,10 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
   }
   const uint32_t jobs = r.Count(kMaxArchiveJobs);
   std::vector<scenario::Results> results;
-  results.reserve(jobs);
+  if (out != nullptr) {
+    results.reserve(jobs);
+  }
+  MergedSummary folded;
   for (uint32_t i = 0; i < jobs && r.ok(); ++i) {
     const uint32_t len = r.U32();
     const uint32_t crc = r.U32();
@@ -774,14 +822,17 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
     if (!DecodeResults(blob, &decoded)) {
       return false;
     }
-    results.push_back(std::move(decoded));
+    FoldInto(&folded, decoded);
+    if (out != nullptr) {
+      results.push_back(std::move(decoded));
+    }
     r.Advance(len);
   }
   MergedSummary merged;
   if (!GetMerged(r, &merged) || !r.AtEnd()) {
     return false;
   }
-  if (merged != MergeResults(results)) {
+  if (merged != folded) {
     return false;  // Trailer must agree with the blobs it summarizes.
   }
   if (out != nullptr) {

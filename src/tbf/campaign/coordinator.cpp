@@ -36,6 +36,7 @@ Coordinator::Coordinator(Manifest manifest, CoordinatorConfig config)
     throw CampaignError("empty manifest");
   }
   jobs_.resize(manifest_.jobs.size());
+  result_blobs_.resize(manifest_.jobs.size());
   job_blobs_.reserve(manifest_.jobs.size());
   for (const CampaignJob& job : manifest_.jobs) {
     job_blobs_.push_back(EncodeJob(job));
@@ -114,7 +115,7 @@ void Coordinator::LoadWal() {
       }
       if (jobs_[msg.job].status != JobStatus::kDone) {
         jobs_[msg.job].status = JobStatus::kDone;
-        jobs_[msg.job].blob = std::move(blob);
+        result_blobs_[msg.job] = std::move(blob);
         ++done_count_;
         ++stats_.resumed;
       }
@@ -175,7 +176,7 @@ void Coordinator::CompleteJob(int64_t job, std::string blob, bool from_wal) {
     AppendWalRecord(job, blob);
   }
   state.status = JobStatus::kDone;
-  state.blob = std::move(blob);
+  result_blobs_[job] = std::move(blob);
   ++done_count_;
   ++stats_.completed;
 }
@@ -191,6 +192,7 @@ void Coordinator::RequeueJob(int64_t job, const char* why) {
                         ")");
   }
   state.status = JobStatus::kPending;
+  first_pending_ = std::min(first_pending_, static_cast<size_t>(job));
   // Exponential backoff keeps a flapping worker pool from hammering the same job.
   int64_t backoff = config_.backoff_base_ms;
   for (int i = 1; i < state.attempts && backoff < config_.backoff_max_ms; ++i) {
@@ -201,9 +203,16 @@ void Coordinator::RequeueJob(int64_t job, const char* why) {
   ++stats_.redispatched;
 }
 
-int64_t Coordinator::NextReadyJob() const {
+int64_t Coordinator::NextReadyJob() {
+  // Every job below first_pending_ is dispatched or done, and RequeueJob lowers the
+  // mark when a job turns pending again, so a scan resumes where the last one found
+  // work instead of at job 0 (O(jobs) per campaign, not O(jobs^2)).
+  while (first_pending_ < jobs_.size() &&
+         jobs_[first_pending_].status != JobStatus::kPending) {
+    ++first_pending_;
+  }
   const Clock::time_point now = Clock::now();
-  for (size_t i = 0; i < jobs_.size(); ++i) {
+  for (size_t i = first_pending_; i < jobs_.size(); ++i) {
     if (jobs_[i].status == JobStatus::kPending && jobs_[i].not_before <= now) {
       return static_cast<int64_t>(i);
     }
@@ -521,21 +530,16 @@ bool Coordinator::Run() {
 
 std::string Coordinator::EncodeArchiveBytes() const {
   TBF_CHECK(AllJobsDone());
-  std::vector<std::string> blobs;
-  blobs.reserve(jobs_.size());
-  for (const JobState& state : jobs_) {
-    blobs.push_back(state.blob);
-  }
-  return EncodeArchive(blobs);
+  return EncodeArchive(result_blobs_);
 }
 
 std::vector<scenario::Results> Coordinator::DecodedResults() const {
   TBF_CHECK(AllJobsDone());
   std::vector<scenario::Results> out;
   out.reserve(jobs_.size());
-  for (const JobState& state : jobs_) {
+  for (const std::string& blob : result_blobs_) {
     scenario::Results results;
-    TBF_CHECK(DecodeResults(state.blob, &results));
+    TBF_CHECK(DecodeResults(blob, &results));
     out.push_back(std::move(results));
   }
   return out;

@@ -108,7 +108,6 @@ class Coordinator {
     JobStatus status = JobStatus::kPending;
     int attempts = 0;                    // Dispatches so far (local runs included).
     Clock::time_point not_before{};      // Backoff gate for the next dispatch.
-    std::string blob;                    // Validated EncodeResults bytes when done.
   };
 
   struct Conn {
@@ -125,7 +124,7 @@ class Coordinator {
   void AppendWalRecord(int64_t job, const std::string& blob);
   void CompleteJob(int64_t job, std::string blob, bool from_wal);
   void RequeueJob(int64_t job, const char* why);
-  int64_t NextReadyJob() const;
+  int64_t NextReadyJob();
   bool AllJobsDone() const { return done_count_ == static_cast<int64_t>(jobs_.size()); }
   void HandleLine(Conn& conn, const std::string& line);
   void HandleRequest(Conn& conn);
@@ -140,7 +139,9 @@ class Coordinator {
   CoordinatorStats stats_;
 
   std::vector<JobState> jobs_;
-  std::vector<std::string> job_blobs_;   // Encoded job specs, built once.
+  std::vector<std::string> job_blobs_;     // Encoded job specs, built once.
+  std::vector<std::string> result_blobs_;  // Validated EncodeResults bytes, by job.
+  size_t first_pending_ = 0;               // No job below this index is pending.
   int64_t done_count_ = 0;
 
   int listen_fd_ = -1;

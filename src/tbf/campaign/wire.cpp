@@ -3,10 +3,12 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -20,20 +22,36 @@ namespace {
 // that set plus the standard short escapes.
 // ---------------------------------------------------------------------------
 
+// Index of the first byte at or after `from` that a JSON string must escape ('"',
+// '\\' or a control character), or s.size(). Callers copy the run up to it with one
+// append, so a multi-KB hex payload costs one copy, not a push_back per byte.
+size_t PlainRunEnd(std::string_view s, size_t from) {
+  size_t i = from;
+  while (i < s.size() && s[i] != '"' && s[i] != '\\' &&
+         static_cast<unsigned char>(s[i]) >= 0x20) {
+    ++i;
+  }
+  return i;
+}
+
 void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
-  for (const char c : s) {
-    const auto u = static_cast<unsigned char>(c);
+  for (size_t i = 0;;) {
+    const size_t end = PlainRunEnd(s, i);
+    out->append(s.data() + i, end - i);
+    if (end == s.size()) {
+      break;
+    }
+    const char c = s[end];
     if (c == '"' || c == '\\') {
       out->push_back('\\');
       out->push_back(c);
-    } else if (u < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", u);
-      *out += buf;
     } else {
-      out->push_back(c);
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned char>(c));
+      *out += buf;
     }
+    i = end + 1;
   }
   out->push_back('"');
 }
@@ -103,16 +121,18 @@ class JsonParser {
     }
     out->clear();
     while (pos_ < in_.size()) {
+      const size_t run = pos_;
+      pos_ = PlainRunEnd(in_, pos_);
+      out->append(in_.data() + run, pos_ - run);
+      if (pos_ == in_.size()) {
+        break;
+      }
       const char c = in_[pos_++];
       if (c == '"') {
         return true;
       }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // Raw control characters are not valid JSON.
-      }
       if (c != '\\') {
-        out->push_back(c);
-        continue;
+        return false;  // Raw control characters are not valid JSON.
       }
       if (pos_ >= in_.size()) {
         return false;
@@ -223,13 +243,18 @@ class JsonParser {
 }  // namespace
 
 std::string FormatMessage(const Message& message) {
-  std::string out = "{\"type\":";
+  std::string out;
+  // Room for every field unescaped, so a multi-KB "data" payload is copied once.
+  out.reserve(128 + message.type.size() + message.name.size() +
+              message.error.size() + message.data.size());
+  out = "{\"type\":";
   AppendJsonString(&out, message.type);
   auto put_int = [&out](const char* key, int64_t value) {
     out += ",\"";
     out += key;
     out += "\":";
-    out += std::to_string(value);
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof(digits), value).ptr);
   };
   auto put_str = [&out](const char* key, const std::string& value) {
     out += ",\"";
@@ -345,14 +370,26 @@ bool WaitReadable(int fd, int timeout_ms) {
 }
 
 bool SendLine(int fd, std::string_view line) {
-  std::string framed(line);
-  framed.push_back('\n');
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
+  // The line and its '\n' go out as two iovecs of one sendmsg: no framed copy.
+  char newline = '\n';
+  iovec iov[2] = {{const_cast<char*>(line.data()), line.size()}, {&newline, 1}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n > 0) {
-      sent += static_cast<size_t>(n);
+      // Skip what was written: whole iovecs first, then into the partial one.
+      auto sent = static_cast<size_t>(n);
+      while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+        sent -= msg.msg_iov->iov_len;
+        ++msg.msg_iov;
+        --msg.msg_iovlen;
+      }
+      if (msg.msg_iovlen > 0) {
+        msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+        msg.msg_iov->iov_len -= sent;
+      }
       continue;
     }
     if (n < 0 && (errno == EINTR)) {

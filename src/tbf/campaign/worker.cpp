@@ -2,10 +2,11 @@
 
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -18,61 +19,101 @@
 namespace tbf::campaign {
 namespace {
 
-// Outcome of running one job on the job thread.
+using Clock = std::chrono::steady_clock;
+
+// Outcome of running one job.
 struct JobOutcome {
   bool ok = false;
   std::string blob;   // EncodeResults bytes on success.
   std::string error;  // Diagnostic on failure.
 };
 
-// Runs the scenario on a side thread while the caller heartbeats, so liveness
-// signalling never depends on the (arbitrarily long) scenario itself. Returns false
-// if the connection died while heartbeating.
-bool RunJobWithHeartbeats(int fd, int64_t job_id, const CampaignJob& job,
-                          int heartbeat_interval_ms, JobOutcome* outcome) {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
+JobOutcome RunJob(const CampaignJob& job) {
+  JobOutcome outcome;
+  try {
+    outcome.blob = EncodeResults(sweep::RunScenarioJob(ToScenarioJob(job)));
+    outcome.ok = true;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  } catch (...) {
+    outcome.error = "unknown exception";
+  }
+  return outcome;
+}
 
-  std::thread runner([&] {
-    JobOutcome local;
-    try {
-      const scenario::Results results =
-          sweep::RunScenarioJob(ToScenarioJob(job));
-      local.blob = EncodeResults(results);
-      local.ok = true;
-    } catch (const std::exception& e) {
-      local.error = e.what();
-    } catch (...) {
-      local.error = "unknown exception";
+// The worker's liveness signal. One thread lives as long as the worker and, while a
+// job runs on the session thread, sends {"type":"heartbeat","job":i} at least once
+// every interval, so liveness never depends on the (arbitrarily long) scenario. Every
+// heartbeat is sent under the mutex and End() takes it, so no heartbeat for a job can
+// follow that job's result on the wire.
+class Heartbeat {
+ public:
+  explicit Heartbeat(int interval_ms)
+      : interval_(std::max(1, interval_ms)), thread_([this] { Loop(); }) {}
+
+  ~Heartbeat() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
     }
-    std::lock_guard<std::mutex> lock(mu);
-    *outcome = std::move(local);
-    done = true;
-    cv.notify_all();
-  });
+    cv_.notify_one();
+    thread_.join();
+  }
 
-  bool connection_ok = true;
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    while (!done) {
-      if (cv.wait_for(lock, std::chrono::milliseconds(heartbeat_interval_ms),
-                      [&] { return done; })) {
-        break;
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
+  // Starts heartbeating `job` on `fd`; the first beat is due one interval from now.
+  void Begin(int fd, int64_t job) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fd_ = fd;
+      job_ = job;
+      next_beat_ = Clock::now() + interval_;
+      send_ok_ = true;
+    }
+    cv_.notify_one();
+  }
+
+  // Stops heartbeating. Returns false if a heartbeat send failed meanwhile (the
+  // coordinator is gone; the caller drops the result).
+  bool End() {
+    std::lock_guard<std::mutex> lock(mu_);
+    job_ = -1;
+    return send_ok_;
+  }
+
+ private:
+  void Loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    while (!stop_) {
+      if (job_ < 0) {
+        cv_.wait(lock);
+        continue;
       }
-      lock.unlock();
+      const Clock::time_point due = next_beat_;
+      if (Clock::now() < due) {
+        cv_.wait_until(lock, due);
+        continue;  // Re-check: the job may have ended or been replaced.
+      }
       Message beat;
       beat.type = "heartbeat";
-      beat.job = job_id;
-      if (!SendLine(fd, FormatMessage(beat))) {
-        connection_ok = false;  // Coordinator gone; finish the job, drop the result.
-      }
-      lock.lock();
+      beat.job = job_;
+      send_ok_ = send_ok_ && SendLine(fd_, FormatMessage(beat));
+      next_beat_ = Clock::now() + interval_;
     }
   }
-  runner.join();
-  return connection_ok;
-}
+
+  const std::chrono::milliseconds interval_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  int fd_ = -1;
+  int64_t job_ = -1;  // Job being heartbeated, -1 when none runs.
+  Clock::time_point next_beat_{};
+  bool send_ok_ = true;
+  std::thread thread_;  // Last: starts after every field above is initialized.
+};
 
 // Blocks until a full line arrives (draining in WaitReadable-sized slices).
 // Returns false on EOF/error/overlong.
@@ -90,12 +131,29 @@ bool ReadLine(int fd, LineReader* reader, std::string* line) {
   }
 }
 
-enum class SessionEnd { kShutdown, kDisconnected };
+// How a session ended. kFaulted is a disconnect this worker injected itself (crash,
+// corrupt, truncate): the coordinator was reachable a moment ago and is not the
+// reason the session ended.
+enum class SessionEnd { kShutdown, kDisconnected, kFaulted };
+
+// Reads the next line where only a shutdown or a close can come: while waiting out a
+// "wait", and after a failed send, when the coordinator may have said shutdown and
+// closed before reading our request.
+SessionEnd AwaitShutdown(int fd, LineReader* reader) {
+  std::string line;
+  Message msg;
+  return ReadLine(fd, reader, &line) && ParseMessage(line, &msg) &&
+                 msg.type == "shutdown"
+             ? SessionEnd::kShutdown
+             : SessionEnd::kDisconnected;
+}
 
 // One connection's lifetime: hello, then request/run/result until the coordinator
-// says shutdown or the connection breaks.
+// says shutdown or the connection breaks. An honest result or error line shares one
+// write with the next request: the same bytes as two writes, one syscall and one
+// coordinator wake fewer.
 SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
-                      WorkerStats* stats) {
+                      Heartbeat* heartbeat, WorkerStats* stats) {
   Message hello;
   hello.type = "hello";
   hello.protocol = kProtocolVersion;
@@ -104,13 +162,21 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
     return SessionEnd::kDisconnected;
   }
 
+  Message request;
+  request.type = "request";
+  const std::string request_line = FormatMessage(request);
+  std::string turn;           // Lines sent with the next request: the last reply.
+  bool turn_has_result = false;
   LineReader reader;
   for (;;) {
-    Message request;
-    request.type = "request";
-    if (!SendLine(fd, FormatMessage(request))) {
-      return SessionEnd::kDisconnected;
+    turn += request_line;
+    if (!SendLine(fd, turn)) {
+      return AwaitShutdown(fd, &reader);
     }
+    stats->results_sent += turn_has_result;
+    turn.clear();
+    turn_has_result = false;
+
     std::string line;
     if (!ReadLine(fd, &reader, &line)) {
       return SessionEnd::kDisconnected;
@@ -123,8 +189,13 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
       return SessionEnd::kShutdown;
     }
     if (msg.type == "wait") {
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(msg.ms > 0 ? msg.ms : 50));
+      // Idle before asking again, but wake at once for the campaign's shutdown.
+      const int ms = msg.ms > 0 ? static_cast<int>(std::min<int64_t>(
+                                      msg.ms, std::numeric_limits<int>::max()))
+                                : 50;
+      if (WaitReadable(fd, ms)) {
+        return AwaitShutdown(fd, &reader);
+      }
       continue;
     }
     if (msg.type != "job") {
@@ -144,7 +215,7 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
     const FaultInjector::Fault fault = faults->Decide(msg.job);
     if (fault == FaultInjector::Fault::kCrash) {
       ++stats->faults_injected;
-      return SessionEnd::kDisconnected;  // Vanish mid-job, without a result.
+      return SessionEnd::kFaulted;  // Vanish mid-job, without a result.
     }
     if (fault == FaultInjector::Fault::kHang) {
       // Go silent: no heartbeats, no result. The coordinator's heartbeat deadline
@@ -156,23 +227,21 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
       return SessionEnd::kDisconnected;
     }
 
-    JobOutcome outcome;
-    if (!RunJobWithHeartbeats(fd, msg.job, job, config.heartbeat_interval_ms,
-                              &outcome)) {
-      return SessionEnd::kDisconnected;
+    heartbeat->Begin(fd, msg.job);
+    JobOutcome outcome = RunJob(job);
+    if (!heartbeat->End()) {
+      return SessionEnd::kDisconnected;  // Coordinator gone; drop the result.
     }
+    ++stats->jobs_run;
     if (!outcome.ok) {
-      ++stats->jobs_run;
       Message error;
       error.type = "error";
       error.job = msg.job;
       error.error = outcome.error;
-      if (!SendLine(fd, FormatMessage(error))) {
-        return SessionEnd::kDisconnected;
-      }
+      turn = FormatMessage(error);
+      turn.push_back('\n');
       continue;
     }
-    ++stats->jobs_run;
 
     // The envelope (len + crc) is computed over the honest bytes *before* any lying
     // mutation, so a corrupt fault ships a CRC mismatch and a truncate fault ships a
@@ -183,12 +252,18 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
     result.job = msg.job;
     result.len = static_cast<int64_t>(outcome.blob.size());
     result.crc = static_cast<int64_t>(Crc32(outcome.blob));
+    if (fault == FaultInjector::Fault::kNone) {
+      result.data = HexEncode(outcome.blob);
+      turn = FormatMessage(result);
+      turn.push_back('\n');
+      turn_has_result = true;
+      continue;
+    }
+    ++stats->faults_injected;
     if (fault == FaultInjector::Fault::kCorrupt) {
-      ++stats->faults_injected;
       FaultInjector::Corrupt(&outcome.blob,
                              config.faults.seed ^ static_cast<uint64_t>(msg.job));
-    } else if (fault == FaultInjector::Fault::kTruncate) {
-      ++stats->faults_injected;
+    } else {
       FaultInjector::Truncate(&outcome.blob,
                               config.faults.seed ^ static_cast<uint64_t>(msg.job));
     }
@@ -197,12 +272,9 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
       return SessionEnd::kDisconnected;
     }
     ++stats->results_sent;
-    if (fault == FaultInjector::Fault::kCorrupt ||
-        fault == FaultInjector::Fault::kTruncate) {
-      // The coordinator drops liars; reconnect as a fresh peer rather than waiting
-      // to discover the closed socket mid-request.
-      return SessionEnd::kDisconnected;
-    }
+    // The coordinator drops liars; reconnect as a fresh peer rather than waiting to
+    // discover the closed socket mid-request.
+    return SessionEnd::kFaulted;
   }
 }
 
@@ -211,6 +283,7 @@ SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
 WorkerStats RunWorker(const WorkerConfig& config) {
   WorkerStats stats;
   FaultInjector faults(config.faults);
+  Heartbeat heartbeat(config.heartbeat_interval_ms);
   int consecutive_failures = 0;
   for (;;) {
     const int fd = ConnectUnix(config.socket_path);
@@ -223,14 +296,20 @@ WorkerStats RunWorker(const WorkerConfig& config) {
       continue;
     }
     consecutive_failures = 0;
-    const SessionEnd end = RunSession(fd, config, &faults, &stats);
+    const SessionEnd end = RunSession(fd, config, &faults, &heartbeat, &stats);
     ::close(fd);
     if (end == SessionEnd::kShutdown) {
       break;
     }
     ++stats.reconnects;
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config.reconnect_delay_ms));
+    // The delay spares a coordinator that dropped us or went away. After a fault this
+    // worker injected itself the coordinator is up, so it reconnects at once: how many
+    // faults a campaign sees then follows the jobs the worker runs, not the ratio of
+    // the delay to the job time.
+    if (end == SessionEnd::kDisconnected) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(config.reconnect_delay_ms));
+    }
   }
   stats.faults_injected = faults.faults_injected();
   return stats;

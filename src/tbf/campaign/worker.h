@@ -2,16 +2,18 @@
 //
 // A worker is a deliberately simple loop - connect, hello, request, run, result,
 // repeat - because every robustness decision lives on the coordinator side. The
-// worker's one liveness duty is the heartbeat: the scenario runs on a separate
-// thread while the protocol thread keeps sending {"type":"heartbeat"} at a fixed
-// cadence, so a long job is distinguishable from a wedged worker.
+// worker's one liveness duty is the heartbeat: the scenario runs on the session
+// thread while one heartbeat thread, alive for the whole RunWorker call, keeps
+// sending {"type":"heartbeat"} at a fixed cadence, so a long job is distinguishable
+// from a wedged worker.
 //
 // A FaultPlan turns the worker into its own adversary for testing: on a faulted
 // execution it drops the connection mid-job (crash), goes silent without a result
 // (hang), or ships a payload with flipped/missing bytes (corrupt/truncate) that the
-// coordinator must reject. Crash and hang tear down the connection; the worker then
-// reconnects as a fresh peer, which is exactly how an externally restarted worker
-// process looks.
+// coordinator must reject. Every fault but a hang ends with the worker dropping the
+// connection itself; it then reconnects at once as a fresh peer, which is exactly how
+// an externally restarted worker process looks. A hang ends when the coordinator's
+// heartbeat deadline drops the worker, which then reconnects after the usual delay.
 #ifndef TBF_CAMPAIGN_WORKER_H_
 #define TBF_CAMPAIGN_WORKER_H_
 
@@ -26,7 +28,8 @@ struct WorkerConfig {
   std::string socket_path;
   std::string name = "worker";
   int heartbeat_interval_ms = 500;
-  // Reconnect policy when the coordinator is unreachable or drops us.
+  // Reconnect policy when the coordinator is unreachable or drops us (not after a
+  // fault this worker injected itself: it then reconnects at once).
   int reconnect_delay_ms = 100;
   int max_reconnects = 100;      // After this many consecutive failures, give up.
   FaultPlan faults;              // All-zero probabilities = an honest worker.

@@ -7,7 +7,10 @@
 // The clean tests (codec, wire, manifest, clean end-to-end) are safe under
 // sanitizers; the fault-driven tests (CampaignStressTest, resume) depend on
 // real-time heartbeat deadlines and are kept out of the sanitizer CTest regexes.
+// The clean long-job test has a deadline too, but a 20 ms heartbeat has 400 ms to
+// beat it, and instrumentation slows the jobs, not the beat.
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -59,6 +62,51 @@ TEST(CampaignCodecTest, HexRoundTripsArbitraryBytes) {
   EXPECT_FALSE(HexDecode("abc", &back));   // Odd length.
   EXPECT_FALSE(HexDecode("zz", &back));    // Non-hex digit.
   EXPECT_FALSE(HexDecode("AB", &back));    // Uppercase is not canonical.
+  EXPECT_FALSE(HexDecode(hex.substr(1), &back));
+  for (const size_t pos : {size_t{0}, hex.size() - 1}) {
+    // Uppercase digits, the neighbours of each digit range, and non-ASCII bytes.
+    for (const char bad : {'A', 'F', 'g', '/', ':', '`', ' ', '\0', '\xff'}) {
+      std::string damaged = hex;
+      damaged[pos] = bad;
+      EXPECT_FALSE(HexDecode(damaged, &back)) << pos << " " << int{bad};
+    }
+  }
+}
+
+// Bit-at-a-time CRC-32 straight from the reflected IEEE polynomial: no tables, so it
+// shares nothing with the sliced implementation it checks.
+uint32_t ReferenceCrc32(std::string_view data) {
+  uint32_t crc = 0xffffffffu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+std::string SeededBytes(size_t n, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng() & 0xff);
+  }
+  return bytes;
+}
+
+TEST(CampaignCodecTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-64 at offsets 0-7 cover every split into 8-byte blocks plus a tail,
+  // from every starting alignment.
+  const std::string bytes = SeededBytes(64 + 8, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view slice(bytes.data() + offset, len);
+      EXPECT_EQ(Crc32(slice), ReferenceCrc32(slice)) << offset << "+" << len;
+    }
+  }
+  const std::string large = SeededBytes(1u << 20, 2);
+  EXPECT_EQ(Crc32(large), ReferenceCrc32(large));
 }
 
 TEST(CampaignCodecTest, JobRoundTripsExactly) {
@@ -250,6 +298,39 @@ TEST(CampaignWireTest, MessagesRoundTripThroughFormatAndParse) {
   Message back;
   ASSERT_TRUE(ParseMessage(line, &back));
   EXPECT_EQ(back, msg);
+
+  // Escaped characters first, last, back to back, and at every position of a
+  // 20-byte plain run, so each run the scanner copies in one append ends right.
+  std::vector<std::string> strings = {"\"", "\\", "\x01", "\"\\\x01\"\\",
+                                      "\"plain", "plain\\", "\x01plain\x01"};
+  for (size_t pos = 0; pos < 20; ++pos) {
+    for (const char esc : {'"', '\\', '\x01', '\n'}) {
+      std::string s(20, 'x');
+      s[pos] = esc;
+      strings.push_back(s);
+    }
+  }
+  for (const std::string& s : strings) {
+    Message m;
+    m.type = s;
+    m.name = s;
+    m.error = s;
+    const std::string escaped = FormatMessage(m);
+    EXPECT_EQ(escaped.find('\n'), std::string::npos);
+    Message parsed;
+    ASSERT_TRUE(ParseMessage(escaped, &parsed)) << escaped;
+    EXPECT_EQ(parsed, m) << escaped;
+  }
+
+  // A 1 MiB payload: plain hex with escapes planted at both ends and in the middle.
+  Message big;
+  big.type = "result";
+  big.data = HexEncode(SeededBytes(1u << 19, 3));
+  big.data.front() = '"';
+  big.data[big.data.size() / 2] = '\x1f';
+  big.data.back() = '\\';
+  ASSERT_TRUE(ParseMessage(FormatMessage(big), &back));
+  EXPECT_EQ(back, big);
 }
 
 TEST(CampaignWireTest, MalformedLinesAreRejected) {
@@ -371,24 +452,21 @@ struct WorkerHandle {
   WorkerStats stats;
 };
 
-WorkerHandle StartWorker(WorkerConfig config) {
-  WorkerHandle handle;
-  auto* stats = &handle.stats;
-  handle.thread = std::thread([config, stats] { *stats = RunWorker(config); });
-  return handle;
-}
-
 // Runs a campaign over a real unix socket with the given worker fleet; returns the
 // archive. The coordinator is destroyed before workers are joined so stragglers
 // observe EOF instead of blocking on a silent socket.
 std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
                         std::vector<WorkerConfig> worker_configs,
-                        CoordinatorStats* stats_out = nullptr) {
+                        CoordinatorStats* stats_out = nullptr,
+                        std::vector<WorkerStats>* worker_stats_out = nullptr) {
   auto coordinator = std::make_unique<Coordinator>(manifest, config);
+  // Each handle is built in place (the reserve keeps it from moving), so the thread's
+  // final stats write lands in the vector element it was given.
   std::vector<WorkerHandle> workers;
   workers.reserve(worker_configs.size());
-  for (WorkerConfig& wc : worker_configs) {
-    workers.push_back(StartWorker(wc));
+  for (const WorkerConfig& wc : worker_configs) {
+    WorkerHandle& handle = workers.emplace_back();
+    handle.thread = std::thread([wc, stats = &handle.stats] { *stats = RunWorker(wc); });
   }
   const bool finished = coordinator->Run();
   EXPECT_TRUE(finished);
@@ -399,6 +477,9 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
   coordinator.reset();
   for (WorkerHandle& w : workers) {
     w.thread.join();
+    if (worker_stats_out != nullptr) {
+      worker_stats_out->push_back(w.stats);
+    }
   }
   return archive;
 }
@@ -450,6 +531,42 @@ TEST(CampaignServiceTest, DistributedCleanRunMatchesSerial) {
   EXPECT_EQ(stats.completed, 60);
   EXPECT_EQ(stats.local_runs, 0);
   EXPECT_EQ(stats.rejected_payloads, 0);
+}
+
+// Jobs that run several heartbeat timeouts long: the long-lived heartbeat thread must
+// keep each one alive, and must fall silent when its job ends. A late heartbeat for a
+// finished job reads as "heartbeat for wrong job": the coordinator drops the worker
+// (and re-dispatches whatever it held), so the worker would log a reconnect. With two
+// workers and three jobs, one worker idles on "wait" replies through the last job.
+TEST(CampaignServiceTest, LongJobsStayAliveOnHeartbeats) {
+  SmokeGridSpec spec;
+  spec.jobs = 4;
+  spec.seed = 7;
+  spec.duration = Sec(12000);  // ~1.2 s of wall time per UDP job in a Release build.
+  Manifest manifest = MakeSmokeGrid(spec);
+  manifest.jobs.erase(manifest.jobs.begin());  // Job 0 is a TCP job, 4x as slow.
+  CoordinatorConfig config;
+  config.socket_path = TempPath("long.sock");
+  config.local_fallback_after_ms = -1;
+  config.heartbeat_timeout_ms = 400;
+  std::vector<WorkerConfig> workers;
+  for (const char* name : {"slow1", "slow2"}) {
+    workers.push_back(HonestWorker(config.socket_path, name));
+    workers.back().heartbeat_interval_ms = 20;
+  }
+  CoordinatorStats stats;
+  std::vector<WorkerStats> worker_stats;
+  const std::string archive =
+      RunCampaign(manifest, config, workers, &stats, &worker_stats);
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  EXPECT_EQ(stats.completed, 3);
+  EXPECT_EQ(stats.heartbeat_timeouts, 0);
+  EXPECT_EQ(stats.redispatched, 0);
+  ASSERT_EQ(worker_stats.size(), 2u);
+  for (const WorkerStats& w : worker_stats) {
+    EXPECT_EQ(w.reconnects, 0);
+  }
+  EXPECT_EQ(worker_stats[0].jobs_run + worker_stats[1].jobs_run, 3);
 }
 
 // The headline acceptance test: a large campaign where workers crash mid-job, hang
