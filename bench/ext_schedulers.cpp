@@ -11,9 +11,11 @@ namespace {
 using namespace tbf;
 using namespace tbf::bench;
 
-sweep::ScenarioJob HotspotJob(scenario::QdiscKind kind, bool weighted) {
+sweep::ScenarioJob HotspotJob(scenario::QdiscKind kind, core::TbrMode mode,
+                              bool weighted) {
   sweep::ScenarioJob job;
   job.config = StandardConfig(kind, Sec(25));
+  job.config.tbr.mode = mode;
   const phy::WifiRate rates[] = {phy::WifiRate::k1Mbps, phy::WifiRate::k2Mbps,
                                  phy::WifiRate::k5_5Mbps, phy::WifiRate::k11Mbps,
                                  phy::WifiRate::k11Mbps};
@@ -42,27 +44,27 @@ int main() {
               "synthesis of paper Sections 2 and 4: time fairness maximizes aggregate "
               "throughput; throughput fairness maximizes goodput equality");
 
+  using core::TbrMode;
   const struct {
     const char* name;
     scenario::QdiscKind kind;
+    TbrMode mode;
     bool weighted;
   } cases[] = {
-      {"FIFO", scenario::QdiscKind::kFifo, false},
-      {"RoundRobin", scenario::QdiscKind::kRoundRobin, false},
-      {"DRR", scenario::QdiscKind::kDrr, false},
-      {"OAR-burst", scenario::QdiscKind::kOarBurst, false},
-      {"TBR", scenario::QdiscKind::kTbr, false},
-      {"TBR w=2 on n5", scenario::QdiscKind::kTbr, true},
-      // The adaptive time-share family: same regulator, different reallocation
-      // policies (see docs/schedulers.md). Appended so the stock rows above stay
-      // byte-comparable with earlier captures.
-      {"TBR-burst", scenario::QdiscKind::kTbrBurstCredit, false},
-      {"TBR-fast", scenario::QdiscKind::kTbrFastEwma, false},
-      {"TBR-hybrid", scenario::QdiscKind::kTbrCreditHybrid, false},
+      {"FIFO", scenario::QdiscKind::kFifo, TbrMode::kStock, false},
+      {"RoundRobin", scenario::QdiscKind::kRoundRobin, TbrMode::kStock, false},
+      {"DRR", scenario::QdiscKind::kDrr, TbrMode::kStock, false},
+      {"OAR-burst", scenario::QdiscKind::kOarBurst, TbrMode::kStock, false},
+      {"TBR", scenario::QdiscKind::kTbr, TbrMode::kStock, false},
+      {"TBR w=2 on n5", scenario::QdiscKind::kTbr, TbrMode::kStock, true},
+      // Fast-EWMA TBR: same regulator, demand-driven reallocation (see
+      // docs/schedulers.md). Appended so the stock rows above stay byte-comparable
+      // with earlier captures.
+      {"TBR-fast", scenario::QdiscKind::kTbr, TbrMode::kFastEwma, false},
   };
   std::vector<sweep::ScenarioJob> jobs;
   for (const auto& c : cases) {
-    jobs.push_back(HotspotJob(c.kind, c.weighted));
+    jobs.push_back(HotspotJob(c.kind, c.mode, c.weighted));
   }
   const std::vector<scenario::Results> results = RunSweepScenarios(jobs);
 

@@ -23,24 +23,26 @@ int main() {
       phy::WifiRate::k11Mbps, phy::WifiRate::k11Mbps, phy::WifiRate::k5_5Mbps,
       phy::WifiRate::k2Mbps,  phy::WifiRate::k1Mbps,
   };
-  const std::pair<scenario::QdiscKind, const char*> notions[] = {
-      {scenario::QdiscKind::kFifo, "Exp-Normal(RF)"},
-      {scenario::QdiscKind::kTbr, "Exp-TBR(TF)"},
-      // Adaptive time-share contenders (docs/schedulers.md): bursty web traffic is
-      // where the stock regulator's 1/N cold-start tax bites, so this workload is the
-      // family's aggregate-throughput gate. Appended to keep the stock rows
-      // byte-comparable with earlier captures.
-      {scenario::QdiscKind::kTbrBurstCredit, "Exp-TBR-burst"},
-      {scenario::QdiscKind::kTbrFastEwma, "Exp-TBR-fast"},
-      {scenario::QdiscKind::kTbrCreditHybrid, "Exp-TBR-hybrid"},
+  const struct {
+    scenario::QdiscKind kind;
+    core::TbrMode mode;
+    const char* name;
+  } notions[] = {
+      {scenario::QdiscKind::kFifo, core::TbrMode::kStock, "Exp-Normal(RF)"},
+      {scenario::QdiscKind::kTbr, core::TbrMode::kStock, "Exp-TBR(TF)"},
+      // Fast-EWMA TBR (docs/schedulers.md): bursty web traffic is where the stock
+      // regulator's 1/N shares bite, so this workload is its aggregate-throughput gate.
+      // Appended to keep the stock rows byte-comparable with earlier captures.
+      {scenario::QdiscKind::kTbr, core::TbrMode::kFastEwma, "Exp-TBR-fast"},
   };
   constexpr uint64_t kSeeds[] = {1, 2};
 
   std::vector<sweep::ScenarioJob> jobs;
-  for (const auto& [kind, name] : notions) {
+  for (const auto& notion : notions) {
     for (const uint64_t seed : kSeeds) {
       sweep::ScenarioJob job;
-      job.config = StandardConfig(kind, Sec(150));
+      job.config = StandardConfig(notion.kind, Sec(150));
+      job.config.tbr.mode = notion.mode;
       job.config.warmup = 0;  // Download times are measured per task, not windowed.
       job.config.seed = seed;
       NodeId id = 1;
@@ -67,7 +69,7 @@ int main() {
   stats::Table table({"config", "tasks done", "mean dl s (11M)", "mean dl s (slow)",
                       "p95 dl s (11M)", "aggregate Mbps"});
   size_t job_idx = 0;
-  for (const auto& [kind, name] : notions) {
+  for (const auto& notion : notions) {
     // Pool the per-seed runs (each seed is a different arrival pattern).
     int64_t tasks = 0;
     double aggregate = 0.0;
@@ -93,7 +95,8 @@ int main() {
     std::sort(fast_dl.begin(), fast_dl.end());
     const double p95 =
         fast_dl.empty() ? 0.0 : fast_dl[fast_dl.size() * 95 / 100];
-    table.AddRow({name, std::to_string(tasks / static_cast<int64_t>(std::size(kSeeds))),
+    table.AddRow({notion.name,
+                  std::to_string(tasks / static_cast<int64_t>(std::size(kSeeds))),
                   stats::Table::Num(mean(fast_dl), 2), stats::Table::Num(mean(slow_dl), 2),
                   stats::Table::Num(p95, 2),
                   stats::Table::Num(aggregate / std::size(kSeeds), 2)});

@@ -47,21 +47,24 @@ int main() {
     }
   };
 
-  const std::pair<scenario::QdiscKind, const char*> notions[] = {
-      {scenario::QdiscKind::kFifo, "Exp-Normal(RF)"},
-      {scenario::QdiscKind::kTbr, "Exp-TBR(TF)"},
-      // The adaptive family, racing stock TBR on the same capture: the scorecard rows
+  const struct {
+    scenario::QdiscKind kind;
+    core::TbrMode mode;
+    const char* name;
+  } notions[] = {
+      {scenario::QdiscKind::kFifo, core::TbrMode::kStock, "Exp-Normal(RF)"},
+      {scenario::QdiscKind::kTbr, core::TbrMode::kStock, "Exp-TBR(TF)"},
+      // Fast-EWMA TBR racing stock TBR on the same capture: the scorecard row
       // docs/schedulers.md quotes. Appended after the stock pair so earlier captures
       // of the first two rows stay byte-comparable.
-      {scenario::QdiscKind::kTbrBurstCredit, "Exp-TBR-burst"},
-      {scenario::QdiscKind::kTbrFastEwma, "Exp-TBR-fast"},
-      {scenario::QdiscKind::kTbrCreditHybrid, "Exp-TBR-hybrid"},
+      {scenario::QdiscKind::kTbr, core::TbrMode::kFastEwma, "Exp-TBR-fast"},
   };
 
   std::vector<sweep::ScenarioJob> jobs;
-  for (const auto& [kind, name] : notions) {
+  for (const auto& notion : notions) {
     sweep::ScenarioJob job;
-    job.config = StandardConfig(kind, source.last_arrival() + Sec(180));
+    job.config = StandardConfig(notion.kind, source.last_arrival() + Sec(180));
+    job.config.tbr.mode = notion.mode;
     job.config.warmup = 0;  // Latency is per transfer, not windowed.
     job.config.seed = 2;
     for (NodeId id = 1; id <= capture.users; ++id) {
@@ -100,7 +103,7 @@ int main() {
   for (size_t i = 0; i < jobs.size(); ++i) {
     const scenario::Results& res = results[i];
     const int64_t delivered = delivered_by_job[i];
-    table.AddRow({notions[i].second, std::to_string(res.tasks_completed),
+    table.AddRow({notions[i].name, std::to_string(res.tasks_completed),
                   delivered == source.total_bytes() ? "exact" : "SHORT",
                   stats::Table::Num(ToSeconds(res.task_latency.p50), 2),
                   stats::Table::Num(ToSeconds(res.task_latency.p95), 2),
@@ -117,8 +120,10 @@ int main() {
               "from each transfer's *logged* arrival, so backlog\nwait counts. "
               "Time-based fairness trims the median that rate anomaly inflates; "
               "its\ntail (p95/p99) carries both the slow users' longer transfers and "
-              "stock TBR's 1/N\ninitial-share burst tax - the baseline the ROADMAP's "
-              "burst-credit experiment must beat.\n");
+              "stock TBR's 1/N\nshares: its 500 ms adjuster donates an idle user's "
+              "share only while that user leaves\nat least 8%% of the channel unused, "
+              "so part of every idle share stays idle for good.\nFast-EWMA TBR "
+              "reallocates from demand every 50 ms instead.\n");
 
   // Non-zero exit when a replay under-delivered: CI runs this binary as a determinism
   // gate, and a silent short count would make its diff-based check meaningless.

@@ -93,29 +93,30 @@ int main() {
               static_cast<long long>(logged_transfers),
               static_cast<double>(source.total_bytes()) / 1e6);
 
-  // Three policies: today's FIFO, stock TBR, and TBR with the packet-level
-  // work-conserving fallback - the latter separates what the backlog costs: equal
-  // *initial* time shares taxing cold bursts vs the regulator idling the channel.
+  // Four policies: today's FIFO, stock TBR, TBR with the packet-level work-conserving
+  // fallback, and fast-EWMA TBR. The fallback separates what the backlog costs: equal
+  // time shares taxing cold bursts vs the regulator idling the channel.
   struct Policy {
     const char* name;
     scenario::QdiscKind kind;
+    core::TbrMode mode;
     bool work_conserving;
   };
+  using core::TbrMode;
   const Policy policies[] = {
-      {"today (DCF+FIFO)", scenario::QdiscKind::kFifo, false},
-      {"with TBR", scenario::QdiscKind::kTbr, false},
-      {"with TBR (work-conserving)", scenario::QdiscKind::kTbr, true},
-      // The adaptive time-share family racing on the audited capture (appended so the
-      // three rows above stay byte-comparable with earlier captures).
-      {"with TBR-burst", scenario::QdiscKind::kTbrBurstCredit, false},
-      {"with TBR-fast", scenario::QdiscKind::kTbrFastEwma, false},
-      {"with TBR-hybrid", scenario::QdiscKind::kTbrCreditHybrid, false},
+      {"today (DCF+FIFO)", scenario::QdiscKind::kFifo, TbrMode::kStock, false},
+      {"with TBR", scenario::QdiscKind::kTbr, TbrMode::kStock, false},
+      {"with TBR (work-conserving)", scenario::QdiscKind::kTbr, TbrMode::kStock, true},
+      // Fast-EWMA TBR racing on the audited capture (appended so the three rows above
+      // stay byte-comparable with earlier captures).
+      {"with TBR-fast", scenario::QdiscKind::kTbr, TbrMode::kFastEwma, false},
   };
 
   std::vector<sweep::ScenarioJob> jobs;
   for (const Policy& policy : policies) {
     sweep::ScenarioJob job;
     job.config.qdisc = policy.kind;
+    job.config.tbr.mode = policy.mode;
     job.config.tbr.work_conserving_fallback = policy.work_conserving;
     job.config.warmup = 0;
     job.config.duration = source.last_arrival() + Sec(300);
@@ -156,9 +157,10 @@ int main() {
               "output: each logged\ntransfer re-ran through DCF/TCP/the AP qdisc. A "
               "transfer count below the capture's\nmeans that policy left work "
               "backlogged past the audit window - itself a finding: with\nthis many "
-              "mostly-idle users, stock TBR's equal initial time shares tax every "
-              "cold\nburst at 1/N until the 500 ms adjuster converges "
-              "(tests/trace_replay_test.cpp pins\nthe effect; a burst-credit "
-              "experiment is the ROADMAP candidate to fix it).\n");
+              "mostly-idle users, stock TBR's equal time shares tax every cold burst "
+              "at 1/N\nfor good. Its 500 ms adjuster donates a share only while the "
+              "owner leaves at least 8%%\nof the channel unused, and a 1/N share is "
+              "below that here, so no share ever moves.\nThe work-conserving "
+              "fallback and fast-EWMA TBR both spend the idle channel time.\n");
   return 0;
 }

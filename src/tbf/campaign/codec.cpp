@@ -1,90 +1,151 @@
 #include "tbf/campaign/codec.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstring>
+#include <map>
+#include <type_traits>
 
 #include "tbf/util/logging.h"
 
 namespace tbf::campaign {
 namespace {
 
+// Codec versions; this is the only place that quotes them. v2: jobs carry the
+// StatsConfig, FlowResults the `exact` flag, Results the windowed meter series. v3:
+// TbrConfig grew the scheduler fields, QdiscKind the adaptive TBR kinds, and Results
+// the windowed goodput series. v4 (jobs only): the retired burst-credit and
+// credit-hybrid modes lost their TbrConfig fields and QdiscKind kinds, TbrConfig lost
+// its copy of the per-client queue limit, and TbrMode::kFastEwma became 1. Results and
+// archive bytes did not change, so they stay "CAR3" and archive version 3. Old-format
+// payloads must not half-decode, so the payload magics are bumped; the archive keeps its
+// magic and bumps its version field instead, which is what lets DecodeArchive diagnose a
+// stale archive by name (codec.h).
+constexpr uint32_t kJobMagic = 0x43414a34;      // "CAJ4"
+constexpr uint32_t kResultsMagic = 0x43415233;  // "CAR3"
+constexpr uint32_t kArchiveMagic = 0x54424641;  // "TBFA"
+constexpr uint32_t kArchiveVersion = 3;
+
+// Containers the decoders will allocate for, bounded per element type: generous for
+// real campaigns, small enough that a corrupt count fails fast instead of OOMing the
+// coordinator. A vector of an element type without a bound does not compile.
+template <typename T>
+constexpr uint32_t kMaxCount = 0;
+template <>
+constexpr uint32_t kMaxCount<scenario::StationSpec> = 4096;
+template <>
+constexpr uint32_t kMaxCount<scenario::FlowSpec> = 65536;
+template <>
+constexpr uint32_t kMaxCount<scenario::FlowResult> = 65536;
+template <>
+constexpr uint32_t kMaxCount<trace::ReplayTask> = 1u << 22;
+template <>
+constexpr uint32_t kMaxCount<TimeNs> = 1u << 22;  // Task completions and durations.
+template <>
+constexpr uint32_t kMaxCount<stats::WindowStat> = 1u << 20;
+template <>
+constexpr uint32_t kMaxCount<stats::ByteWindow> = 1u << 20;
+constexpr uint32_t kMaxNodeMapEntries = 4096;  // One entry per station.
+constexpr uint32_t kMaxArchiveJobs = 1u << 24;
+
+// Largest raw value of a wire enum. Wire enums are contiguous from 0 and end in a kLast
+// alias; WifiRate counts its rungs instead.
+template <typename E>
+constexpr uint32_t kEnumMax = static_cast<uint32_t>(E::kLast);
+template <>
+constexpr uint32_t kEnumMax<phy::WifiRate> = phy::kNumWifiRates - 1;
+
+// Sealed windows travel strictly ascending by start; the decoder enforces it.
+template <typename T>
+constexpr bool kAscendingStart =
+    std::is_same_v<T, stats::WindowStat> || std::is_same_v<T, stats::ByteWindow>;
+
 // ---------------------------------------------------------------------------
-// Primitive byte stream. The reader latches failure: once any read overruns or
-// fails validation, every subsequent read reports failure too, so decoders can
-// chain reads and check ok() once per structure.
+// Byte streams. Both take a field list through operator(): the writer appends each
+// field, the reader fills it in. The reader latches failure: once any read overruns or
+// fails validation, every later read fails too, so a decoder checks ok() once at the
+// end.
 // ---------------------------------------------------------------------------
 
 class ByteWriter {
  public:
-  void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
+  template <typename... Ts>
+  void operator()(const Ts&... fields) {
+    (Write(fields), ...);
   }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-    }
-  }
-  void I32(int32_t v) { U32(static_cast<uint32_t>(v)); }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
-  void Bool(bool v) { U8(v ? 1 : 0); }
 
   std::string& str() { return out_; }
   std::string Take() { return std::move(out_); }
 
  private:
+  template <typename U>
+  void Fixed(U v) {
+    char bytes[sizeof(U)];
+    for (size_t i = 0; i < sizeof(U); ++i) {
+      bytes[i] = static_cast<char>(v >> (8 * i));
+    }
+    out_.append(bytes, sizeof(U));
+  }
+
+  template <typename T>
+  void Write(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      Fixed<uint8_t>(v ? 1 : 0);
+    } else if constexpr (std::is_enum_v<T>) {
+      Fixed(static_cast<uint32_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      Fixed(static_cast<std::make_unsigned_t<T>>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      Fixed(std::bit_cast<uint64_t>(v));
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <typename T>
+  void Write(const std::vector<T>& v) {
+    Fixed(static_cast<uint32_t>(v.size()));
+    for (const T& element : v) {
+      Write(element);
+    }
+  }
+  void Write(const std::map<NodeId, double>& m) {
+    Fixed(static_cast<uint32_t>(m.size()));
+    for (const auto& [node, value] : m) {  // std::map iterates sorted: deterministic.
+      Write(node);
+      Write(value);
+    }
+  }
+  void Write(const stats::QuantileSketch& sketch) { sketch.SerializeTo(&out_); }
+
   std::string out_;
 };
+
+// Wire size of a default T, the smallest any T encodes to (its containers are empty).
+// A count can claim at most remaining / MinWireBytes<T>() real elements.
+template <typename T>
+size_t MinWireBytes() {
+  static const size_t bytes = [] {
+    ByteWriter w;
+    w(T());  // Not T{}: aggregate init would hit the sketches' explicit ctors.
+    return w.str().size();
+  }();
+  return bytes;
+}
 
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
 
-  uint8_t U8() {
-    if (!Need(1)) {
-      return 0;
-    }
-    return static_cast<uint8_t>(data_[pos_++]);
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (Read(fields), ...);
   }
-  uint32_t U32() {
-    if (!Need(4)) {
-      return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) {
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64() { return std::bit_cast<double>(U64()); }
-  bool Bool() {
-    const uint8_t v = U8();
-    if (v > 1) {
-      ok_ = false;
-    }
-    return v == 1;
-  }
+
   // Container length, bounded so a corrupt count cannot drive a multi-GB resize.
   uint32_t Count(uint32_t max) {
-    const uint32_t v = U32();
+    const uint32_t v = Fixed<uint32_t>();
     if (v > max) {
       ok_ = false;
       return 0;
@@ -93,7 +154,6 @@ class ByteReader {
   }
 
   bool ok() const { return ok_; }
-  size_t pos() const { return pos_; }
   bool AtEnd() const { return ok_ && pos_ == data_.size(); }
   std::string_view remaining() const { return data_.substr(pos_); }
   void Advance(size_t n) {
@@ -111,400 +171,206 @@ class ByteReader {
     return true;
   }
 
+  template <typename U>
+  U Fixed() {
+    if (!Need(sizeof(U))) {
+      return 0;
+    }
+    U v = 0;
+    for (size_t i = 0; i < sizeof(U); ++i) {
+      v |= static_cast<U>(static_cast<U>(static_cast<unsigned char>(data_[pos_ + i]))
+                          << (8 * i));
+    }
+    pos_ += sizeof(U);
+    return v;
+  }
+
+  template <typename T>
+  void Read(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      const uint8_t raw = Fixed<uint8_t>();
+      ok_ = ok_ && raw <= 1;
+      v = raw == 1;
+    } else if constexpr (std::is_enum_v<T>) {
+      const uint32_t raw = Fixed<uint32_t>();
+      ok_ = ok_ && raw <= kEnumMax<T>;
+      v = ok_ ? static_cast<T>(raw) : T{};
+    } else if constexpr (std::is_integral_v<T>) {
+      v = static_cast<T>(Fixed<std::make_unsigned_t<T>>());
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(Fixed<uint64_t>());
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <typename T>
+  void Read(std::vector<T>& v) {
+    static_assert(kMaxCount<T> > 0, "wire vectors need a count bound");
+    const uint32_t n = Count(kMaxCount<T>);
+    v.reserve(std::min<size_t>(n, (data_.size() - pos_) / MinWireBytes<T>()));
+    for (uint32_t i = 0; i < n && ok_; ++i) {
+      Read(v.emplace_back());
+      if constexpr (kAscendingStart<T>) {
+        ok_ = ok_ && (i == 0 || v[i].start > v[i - 1].start);
+      }
+    }
+  }
+  void Read(std::map<NodeId, double>& m) {
+    const uint32_t n = Count(kMaxNodeMapEntries);
+    for (uint32_t i = 0; i < n && ok_; ++i) {
+      NodeId node = 0;
+      double value = 0.0;
+      Read(node);
+      Read(value);
+      // Strictly ascending keys: the canonical (std::map) order the writer emits.
+      ok_ = ok_ && (m.empty() || node > m.rbegin()->first);
+      if (ok_) {
+        m.emplace_hint(m.end(), node, value);
+      }
+    }
+  }
+  void Read(stats::QuantileSketch& sketch) {
+    // The sketch parses from the reader's current position; splice its cursor back.
+    size_t pos = 0;
+    ok_ = ok_ && stats::QuantileSketch::DeserializeFrom(remaining(), &pos, &sketch);
+    pos_ += ok_ ? pos : 0;
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
   bool ok_ = true;
 };
 
-// Containers the decoders will allocate for: generous for real campaigns, small
-// enough that a corrupt count fails fast instead of OOMing the coordinator.
-constexpr uint32_t kMaxStations = 4096;
-constexpr uint32_t kMaxFlows = 65536;
-constexpr uint32_t kMaxTasks = 1u << 22;
-constexpr uint32_t kMaxArchiveJobs = 1u << 24;
-constexpr uint32_t kMaxWindows = 1u << 20;
-
-// v2: jobs carry StatsConfig, FlowResults the `exact` flag, Results the windowed
-// meter series. v3: TbrConfig grew the scheduler-family fields (mode, burst_credit,
-// demand_*, hybrid_debt_cap, contention_contenders), QdiscKind the three adaptive TBR
-// kinds, and Results the windowed goodput series. Old-format payloads must not
-// half-decode, so the payload magics are bumped; the archive keeps its magic and bumps
-// its version field instead, which is what lets DecodeArchive diagnose a stale archive
-// by name (codec.h).
-constexpr uint32_t kJobMagic = 0x43414a33;      // "CAJ3"
-constexpr uint32_t kResultsMagic = 0x43415233;  // "CAR3"
-constexpr uint32_t kArchiveMagic = 0x54424641;  // "TBFA"
-constexpr uint32_t kArchiveVersion = 3;
-
 // ---------------------------------------------------------------------------
-// Enum codecs with range validation.
+// Field lists: each wire struct names its fields once, in wire order. S is T when
+// decoding and const T when encoding, so one list drives both directions.
 // ---------------------------------------------------------------------------
 
-template <typename E>
-void PutEnum(ByteWriter& w, E value) {
-  w.U32(static_cast<uint32_t>(value));
+template <typename S, typename T>
+concept Of = std::same_as<std::remove_const_t<S>, T>;
+
+template <typename IO, Of<phy::MacTimings> S>
+void Fields(IO& io, S& t) {
+  io(t.slot, t.sifs, t.cw_min, t.cw_max, t.retry_limit);
 }
 
-template <typename E>
-E GetEnum(ByteReader& r, uint32_t max_inclusive, bool* ok) {
-  const uint32_t raw = r.U32();
-  if (raw > max_inclusive) {
-    *ok = false;
-    return static_cast<E>(0);
-  }
-  return static_cast<E>(raw);
+template <typename IO, Of<core::TbrConfig> S>
+void Fields(IO& io, S& c) {
+  io(c.mode, c.fill_period, c.bucket_depth, c.initial_tokens, c.enable_rate_adjust,
+     c.adjust_period, c.adjust_threshold, c.usage_ewma_alpha, c.saturation_guard,
+     c.min_rate, c.maxmin_repair, c.repair_step, c.work_conserving_fallback,
+     c.demand_period, c.demand_alpha, c.demand_active_threshold, c.use_retry_info,
+     c.charge_contention_overhead, c.contention_contenders, c.client_agent);
 }
 
-// ---------------------------------------------------------------------------
-// Spec codecs.
-// ---------------------------------------------------------------------------
-
-void PutTimings(ByteWriter& w, const phy::MacTimings& t) {
-  w.I64(t.slot);
-  w.I64(t.sifs);
-  w.I32(t.cw_min);
-  w.I32(t.cw_max);
-  w.I32(t.retry_limit);
+template <typename IO, Of<stats::StatsConfig> S>
+void Fields(IO& io, S& c) {
+  io(c.window, c.top_k, c.sample_every, c.sample_seed);
 }
 
-phy::MacTimings GetTimings(ByteReader& r) {
-  phy::MacTimings t;
-  t.slot = r.I64();
-  t.sifs = r.I64();
-  t.cw_min = r.I32();
-  t.cw_max = r.I32();
-  t.retry_limit = r.I32();
-  return t;
+template <typename IO, Of<scenario::ScenarioConfig> S>
+void Fields(IO& io, S& c) {
+  io(c.qdisc, c.tbr, c.fifo_limit, c.per_queue_limit, c.timings, c.seed, c.wired_rate,
+     c.wired_delay, c.warmup, c.duration, c.stats);
 }
 
-void PutTbr(ByteWriter& w, const core::TbrConfig& c) {
-  PutEnum(w, c.mode);
-  w.I64(c.burst_credit);
-  w.I64(c.demand_period);
-  w.F64(c.demand_alpha);
-  w.F64(c.demand_active_threshold);
-  w.I64(c.hybrid_debt_cap);
-  w.I32(c.contention_contenders);
-  w.I64(c.fill_period);
-  w.I64(c.bucket_depth);
-  w.I64(c.initial_tokens);
-  w.Bool(c.enable_rate_adjust);
-  w.I64(c.adjust_period);
-  w.F64(c.adjust_threshold);
-  w.F64(c.usage_ewma_alpha);
-  w.F64(c.saturation_guard);
-  w.F64(c.min_rate);
-  w.Bool(c.maxmin_repair);
-  w.F64(c.repair_step);
-  w.Bool(c.work_conserving_fallback);
-  w.Bool(c.use_retry_info);
-  w.Bool(c.charge_contention_overhead);
-  w.U64(c.per_queue_limit);
-  w.Bool(c.client_agent);
+template <typename IO, Of<scenario::StationSpec> S>
+void Fields(IO& io, S& s) {
+  io(s.id, s.rate, s.per, s.arf, s.snr_db, s.queue_limit);
 }
 
-core::TbrConfig GetTbr(ByteReader& r, bool* ok) {
-  core::TbrConfig c;
-  c.mode = GetEnum<core::TbrMode>(r, 3, ok);
-  c.burst_credit = r.I64();
-  c.demand_period = r.I64();
-  c.demand_alpha = r.F64();
-  c.demand_active_threshold = r.F64();
-  c.hybrid_debt_cap = r.I64();
-  c.contention_contenders = r.I32();
-  c.fill_period = r.I64();
-  c.bucket_depth = r.I64();
-  c.initial_tokens = r.I64();
-  c.enable_rate_adjust = r.Bool();
-  c.adjust_period = r.I64();
-  c.adjust_threshold = r.F64();
-  c.usage_ewma_alpha = r.F64();
-  c.saturation_guard = r.F64();
-  c.min_rate = r.F64();
-  c.maxmin_repair = r.Bool();
-  c.repair_step = r.F64();
-  c.work_conserving_fallback = r.Bool();
-  c.use_retry_info = r.Bool();
-  c.charge_contention_overhead = r.Bool();
-  c.per_queue_limit = static_cast<size_t>(r.U64());
-  c.client_agent = r.Bool();
-  return c;
+template <typename IO, Of<trace::OnOffSampler> S>
+void Fields(IO& io, S& o) {
+  io(o.mean_flow_bytes, o.pareto_alpha, o.mean_think_sec);
 }
 
-void PutStation(ByteWriter& w, const scenario::StationSpec& s) {
-  w.I32(s.id);
-  PutEnum(w, s.rate);
-  w.F64(s.per);
-  w.Bool(s.arf);
-  w.F64(s.snr_db);
-  w.U64(s.queue_limit);
+template <typename IO, Of<trace::ReplayTask> S>
+void Fields(IO& io, S& t) {
+  io(t.at, t.bytes);
 }
 
-scenario::StationSpec GetStation(ByteReader& r, bool* ok) {
-  scenario::StationSpec s;
-  s.id = r.I32();
-  s.rate = GetEnum<phy::WifiRate>(r, phy::kNumWifiRates - 1, ok);
-  s.per = r.F64();
-  s.arf = r.Bool();
-  s.snr_db = r.F64();
-  s.queue_limit = static_cast<size_t>(r.U64());
-  return s;
+template <typename IO, Of<scenario::FlowSpec> S>
+void Fields(IO& io, S& f) {
+  io(f.client, f.direction, f.transport, f.model, f.task_bytes, f.task_count, f.task_gap,
+     f.onoff, f.replay, f.app_limit_bps, f.udp_rate, f.packet_bytes, f.start);
 }
 
-void PutFlow(ByteWriter& w, const scenario::FlowSpec& f) {
-  w.I32(f.client);
-  PutEnum(w, f.direction);
-  PutEnum(w, f.transport);
-  PutEnum(w, f.model);
-  w.I64(f.task_bytes);
-  w.I32(f.task_count);
-  w.I64(f.task_gap);
-  w.F64(f.onoff.mean_flow_bytes);
-  w.F64(f.onoff.pareto_alpha);
-  w.F64(f.onoff.mean_think_sec);
-  w.U32(static_cast<uint32_t>(f.replay.size()));
-  for (const trace::ReplayTask& task : f.replay) {
-    w.I64(task.at);
-    w.I64(task.bytes);
-  }
-  w.I64(f.app_limit_bps);
-  w.I64(f.udp_rate);
-  w.I32(f.packet_bytes);
-  w.I64(f.start);
+template <typename IO, Of<CampaignJob> S>
+void Fields(IO& io, S& job) {
+  io(job.config, job.stations, job.flows);
 }
 
-scenario::FlowSpec GetFlow(ByteReader& r, bool* ok) {
-  scenario::FlowSpec f;
-  f.client = r.I32();
-  f.direction = GetEnum<scenario::Direction>(r, 1, ok);
-  f.transport = GetEnum<scenario::Transport>(r, 1, ok);
-  f.model = GetEnum<scenario::TrafficModel>(r, 3, ok);
-  f.task_bytes = r.I64();
-  f.task_count = r.I32();
-  f.task_gap = r.I64();
-  f.onoff.mean_flow_bytes = r.F64();
-  f.onoff.pareto_alpha = r.F64();
-  f.onoff.mean_think_sec = r.F64();
-  const uint32_t tasks = r.Count(kMaxTasks);
-  f.replay.reserve(tasks);
-  for (uint32_t i = 0; i < tasks && r.ok(); ++i) {
-    trace::ReplayTask task;
-    task.at = r.I64();
-    task.bytes = r.I64();
-    f.replay.push_back(task);
-  }
-  f.app_limit_bps = r.I64();
-  f.udp_rate = r.I64();
-  f.packet_bytes = r.I32();
-  f.start = r.I64();
-  return f;
+template <typename IO, Of<scenario::LatencySummary> S>
+void Fields(IO& io, S& s) {
+  io(s.count, s.p50, s.p95, s.p99);
 }
 
-void PutConfig(ByteWriter& w, const scenario::ScenarioConfig& c) {
-  PutEnum(w, c.qdisc);
-  PutTbr(w, c.tbr);
-  w.U64(c.fifo_limit);
-  w.U64(c.per_queue_limit);
-  PutTimings(w, c.timings);
-  w.U64(c.seed);
-  w.I64(c.wired_rate);
-  w.I64(c.wired_delay);
-  w.I64(c.warmup);
-  w.I64(c.duration);
-  w.I64(c.stats.window);
-  w.I32(c.stats.top_k);
-  w.I32(c.stats.sample_every);
-  w.U64(c.stats.sample_seed);
+template <typename IO, Of<scenario::FlowResult> S>
+void Fields(IO& io, S& f) {
+  io(f.flow_id, f.client, f.tcp, f.bytes_delivered, f.goodput_bps, f.completion_time,
+     f.task_completions, f.task_durations, f.retransmits, f.timeouts, f.rtt,
+     f.queue_delay, f.task_latency, f.exact);
 }
 
-scenario::ScenarioConfig GetConfig(ByteReader& r, bool* ok) {
-  scenario::ScenarioConfig c;
-  c.qdisc = GetEnum<scenario::QdiscKind>(r, 7, ok);
-  c.tbr = GetTbr(r, ok);
-  c.fifo_limit = static_cast<size_t>(r.U64());
-  c.per_queue_limit = static_cast<size_t>(r.U64());
-  c.timings = GetTimings(r);
-  c.seed = r.U64();
-  c.wired_rate = r.I64();
-  c.wired_delay = r.I64();
-  c.warmup = r.I64();
-  c.duration = r.I64();
-  c.stats.window = r.I64();
-  c.stats.top_k = r.I32();
-  c.stats.sample_every = r.I32();
-  c.stats.sample_seed = r.U64();
-  return c;
+template <typename IO, Of<stats::WindowStat> S>
+void Fields(IO& io, S& w) {
+  io(w.start, w.count, w.p50, w.p95, w.p99);
 }
 
-// ---------------------------------------------------------------------------
-// Results codecs.
-// ---------------------------------------------------------------------------
-
-void PutSummary(ByteWriter& w, const scenario::LatencySummary& s) {
-  w.I64(s.count);
-  w.I64(s.p50);
-  w.I64(s.p95);
-  w.I64(s.p99);
+template <typename IO, Of<stats::MeterSeries> S>
+void Fields(IO& io, S& s) {
+  io(s.window, s.windows);
 }
 
-scenario::LatencySummary GetSummary(ByteReader& r) {
-  scenario::LatencySummary s;
-  s.count = r.I64();
-  s.p50 = r.I64();
-  s.p95 = r.I64();
-  s.p99 = r.I64();
-  return s;
+template <typename IO, Of<stats::ByteWindow> S>
+void Fields(IO& io, S& w) {
+  io(w.start, w.count, w.bytes);
 }
 
-void PutSketch(ByteWriter& w, const stats::QuantileSketch& sketch) {
-  sketch.SerializeTo(&w.str());
+template <typename IO, Of<stats::ByteSeries> S>
+void Fields(IO& io, S& s) {
+  io(s.window, s.windows);
 }
 
-bool GetSketch(ByteReader& r, stats::QuantileSketch* out) {
-  // The sketch parses from the reader's current position; splice its cursor back.
-  size_t pos = 0;
-  if (!r.ok() || !stats::QuantileSketch::DeserializeFrom(r.remaining(), &pos, out)) {
+template <typename IO, Of<scenario::Results> S>
+void Fields(IO& io, S& r) {
+  io(r.goodput_bps, r.airtime_share, r.aggregate_bps, r.utilization, r.flows,
+     r.avg_task_time_sec, r.final_task_time_sec, r.tasks_completed, r.mac_collisions,
+     r.mac_exchanges, r.ap_drops, r.rtt, r.ap_queue_delay, r.task_latency, r.rtt_sketch,
+     r.ap_queue_delay_sketch, r.task_latency_sketch, r.rtt_series,
+     r.ap_queue_delay_series, r.task_latency_series, r.goodput_series);
+}
+
+template <typename IO, Of<MergedSummary> S>
+void Fields(IO& io, S& m) {
+  io(m.jobs, m.tasks_completed, m.mac_exchanges, m.aggregate_bps_sum, m.rtt,
+     m.ap_queue_delay, m.task_latency);
+}
+
+// A payload blob: magic, then the value's fields.
+template <typename T>
+std::string EncodeBlob(uint32_t magic, const T& value) {
+  ByteWriter w;
+  w(magic, value);
+  return w.Take();
+}
+
+// Decodes a whole blob or nothing: `*out` is written only when every byte parsed.
+template <typename T>
+bool DecodeBlob(std::string_view data, uint32_t magic, T* out) {
+  ByteReader r(data);
+  uint32_t found = 0;
+  r(found);
+  if (found != magic) {
     return false;
   }
-  r.Advance(pos);
+  T value;
+  r(value);
+  if (!r.AtEnd()) {
+    return false;
+  }
+  *out = std::move(value);
   return true;
-}
-
-void PutNodeDoubleMap(ByteWriter& w, const std::map<NodeId, double>& m) {
-  w.U32(static_cast<uint32_t>(m.size()));
-  for (const auto& [node, value] : m) {  // std::map iterates sorted: deterministic.
-    w.I32(node);
-    w.F64(value);
-  }
-}
-
-bool GetNodeDoubleMap(ByteReader& r, std::map<NodeId, double>* out) {
-  const uint32_t n = r.Count(kMaxStations);
-  NodeId prev = kInvalidNodeId;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    const NodeId node = r.I32();
-    const double value = r.F64();
-    if (i > 0 && node <= prev) {
-      return false;  // Must be strictly ascending (canonical map order).
-    }
-    prev = node;
-    (*out)[node] = value;
-  }
-  return r.ok();
-}
-
-void PutTimes(ByteWriter& w, const std::vector<TimeNs>& v) {
-  w.U32(static_cast<uint32_t>(v.size()));
-  for (TimeNs t : v) {
-    w.I64(t);
-  }
-}
-
-bool GetTimes(ByteReader& r, std::vector<TimeNs>* out) {
-  const uint32_t n = r.Count(kMaxTasks);
-  out->reserve(n);
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    out->push_back(r.I64());
-  }
-  return r.ok();
-}
-
-void PutFlowResult(ByteWriter& w, const scenario::FlowResult& f) {
-  w.I32(f.flow_id);
-  w.I32(f.client);
-  w.Bool(f.tcp);
-  w.I64(f.bytes_delivered);
-  w.F64(f.goodput_bps);
-  w.I64(f.completion_time);
-  PutTimes(w, f.task_completions);
-  PutTimes(w, f.task_durations);
-  w.I64(f.retransmits);
-  w.I64(f.timeouts);
-  PutSummary(w, f.rtt);
-  PutSummary(w, f.queue_delay);
-  PutSummary(w, f.task_latency);
-  w.Bool(f.exact);
-}
-
-bool GetFlowResult(ByteReader& r, scenario::FlowResult* f) {
-  f->flow_id = r.I32();
-  f->client = r.I32();
-  f->tcp = r.Bool();
-  f->bytes_delivered = r.I64();
-  f->goodput_bps = r.F64();
-  f->completion_time = r.I64();
-  if (!GetTimes(r, &f->task_completions) || !GetTimes(r, &f->task_durations)) {
-    return false;
-  }
-  f->retransmits = r.I64();
-  f->timeouts = r.I64();
-  f->rtt = GetSummary(r);
-  f->queue_delay = GetSummary(r);
-  f->task_latency = GetSummary(r);
-  f->exact = r.Bool();
-  return r.ok();
-}
-
-void PutSeries(ByteWriter& w, const stats::MeterSeries& s) {
-  w.I64(s.window);
-  w.U32(static_cast<uint32_t>(s.windows.size()));
-  for (const stats::WindowStat& ws : s.windows) {
-    w.I64(ws.start);
-    w.I64(ws.count);
-    w.I64(ws.p50);
-    w.I64(ws.p95);
-    w.I64(ws.p99);
-  }
-}
-
-bool GetSeries(ByteReader& r, stats::MeterSeries* out) {
-  out->window = r.I64();
-  const uint32_t n = r.Count(kMaxWindows);
-  out->windows.reserve(n);
-  TimeNs prev = 0;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    stats::WindowStat ws;
-    ws.start = r.I64();
-    ws.count = r.I64();
-    ws.p50 = r.I64();
-    ws.p95 = r.I64();
-    ws.p99 = r.I64();
-    if (i > 0 && ws.start <= prev) {
-      return false;  // Sealed windows are strictly ascending by start.
-    }
-    prev = ws.start;
-    out->windows.push_back(ws);
-  }
-  return r.ok();
-}
-
-void PutByteSeries(ByteWriter& w, const stats::ByteSeries& s) {
-  w.I64(s.window);
-  w.U32(static_cast<uint32_t>(s.windows.size()));
-  for (const stats::ByteWindow& bw : s.windows) {
-    w.I64(bw.start);
-    w.I64(bw.count);
-    w.I64(bw.bytes);
-  }
-}
-
-bool GetByteSeries(ByteReader& r, stats::ByteSeries* out) {
-  out->window = r.I64();
-  const uint32_t n = r.Count(kMaxWindows);
-  out->windows.reserve(n);
-  TimeNs prev = 0;
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    stats::ByteWindow bw;
-    bw.start = r.I64();
-    bw.count = r.I64();
-    bw.bytes = r.I64();
-    if (i > 0 && bw.start <= prev) {
-      return false;  // Sealed windows are strictly ascending by start.
-    }
-    prev = bw.start;
-    out->windows.push_back(bw);
-  }
-  return r.ok();
 }
 
 }  // namespace
@@ -597,119 +463,18 @@ bool HexDecode(std::string_view hex, std::string* out) {
   return (bad & 0xf0) == 0;
 }
 
-std::string EncodeJob(const CampaignJob& job) {
-  ByteWriter w;
-  w.U32(kJobMagic);
-  PutConfig(w, job.config);
-  w.U32(static_cast<uint32_t>(job.stations.size()));
-  for (const scenario::StationSpec& s : job.stations) {
-    PutStation(w, s);
-  }
-  w.U32(static_cast<uint32_t>(job.flows.size()));
-  for (const scenario::FlowSpec& f : job.flows) {
-    PutFlow(w, f);
-  }
-  return w.Take();
-}
+std::string EncodeJob(const CampaignJob& job) { return EncodeBlob(kJobMagic, job); }
 
 bool DecodeJob(std::string_view data, CampaignJob* out) {
-  ByteReader r(data);
-  bool ok = true;
-  if (r.U32() != kJobMagic) {
-    return false;
-  }
-  CampaignJob job;
-  job.config = GetConfig(r, &ok);
-  const uint32_t stations = r.Count(kMaxStations);
-  job.stations.reserve(stations);
-  for (uint32_t i = 0; i < stations && r.ok() && ok; ++i) {
-    job.stations.push_back(GetStation(r, &ok));
-  }
-  const uint32_t flows = r.Count(kMaxFlows);
-  job.flows.reserve(flows);
-  for (uint32_t i = 0; i < flows && r.ok() && ok; ++i) {
-    job.flows.push_back(GetFlow(r, &ok));
-  }
-  if (!ok || !r.AtEnd()) {
-    return false;
-  }
-  *out = std::move(job);
-  return true;
+  return DecodeBlob(data, kJobMagic, out);
 }
 
 std::string EncodeResults(const scenario::Results& results) {
-  ByteWriter w;
-  w.U32(kResultsMagic);
-  PutNodeDoubleMap(w, results.goodput_bps);
-  PutNodeDoubleMap(w, results.airtime_share);
-  w.F64(results.aggregate_bps);
-  w.F64(results.utilization);
-  w.U32(static_cast<uint32_t>(results.flows.size()));
-  for (const scenario::FlowResult& f : results.flows) {
-    PutFlowResult(w, f);
-  }
-  w.F64(results.avg_task_time_sec);
-  w.F64(results.final_task_time_sec);
-  w.I64(results.tasks_completed);
-  w.I64(results.mac_collisions);
-  w.I64(results.mac_exchanges);
-  w.I64(results.ap_drops);
-  PutSummary(w, results.rtt);
-  PutSummary(w, results.ap_queue_delay);
-  PutSummary(w, results.task_latency);
-  PutSketch(w, results.rtt_sketch);
-  PutSketch(w, results.ap_queue_delay_sketch);
-  PutSketch(w, results.task_latency_sketch);
-  PutSeries(w, results.rtt_series);
-  PutSeries(w, results.ap_queue_delay_series);
-  PutSeries(w, results.task_latency_series);
-  PutByteSeries(w, results.goodput_series);
-  return w.Take();
+  return EncodeBlob(kResultsMagic, results);
 }
 
 bool DecodeResults(std::string_view data, scenario::Results* out) {
-  ByteReader r(data);
-  if (r.U32() != kResultsMagic) {
-    return false;
-  }
-  scenario::Results results;
-  if (!GetNodeDoubleMap(r, &results.goodput_bps) ||
-      !GetNodeDoubleMap(r, &results.airtime_share)) {
-    return false;
-  }
-  results.aggregate_bps = r.F64();
-  results.utilization = r.F64();
-  const uint32_t flows = r.Count(kMaxFlows);
-  results.flows.reserve(flows);
-  for (uint32_t i = 0; i < flows && r.ok(); ++i) {
-    scenario::FlowResult f;
-    if (!GetFlowResult(r, &f)) {
-      return false;
-    }
-    results.flows.push_back(std::move(f));
-  }
-  results.avg_task_time_sec = r.F64();
-  results.final_task_time_sec = r.F64();
-  results.tasks_completed = r.I64();
-  results.mac_collisions = r.I64();
-  results.mac_exchanges = r.I64();
-  results.ap_drops = r.I64();
-  results.rtt = GetSummary(r);
-  results.ap_queue_delay = GetSummary(r);
-  results.task_latency = GetSummary(r);
-  if (!r.ok() || !GetSketch(r, &results.rtt_sketch) ||
-      !GetSketch(r, &results.ap_queue_delay_sketch) ||
-      !GetSketch(r, &results.task_latency_sketch)) {
-    return false;
-  }
-  if (!GetSeries(r, &results.rtt_series) ||
-      !GetSeries(r, &results.ap_queue_delay_series) ||
-      !GetSeries(r, &results.task_latency_series) ||
-      !GetByteSeries(r, &results.goodput_series) || !r.AtEnd()) {
-    return false;
-  }
-  *out = std::move(results);
-  return true;
+  return DecodeBlob(data, kResultsMagic, out);
 }
 
 namespace {
@@ -724,25 +489,6 @@ void FoldInto(MergedSummary* merged, const scenario::Results& r) {
   merged->rtt.Merge(r.rtt_sketch);
   merged->ap_queue_delay.Merge(r.ap_queue_delay_sketch);
   merged->task_latency.Merge(r.task_latency_sketch);
-}
-
-void PutMerged(ByteWriter& w, const MergedSummary& m) {
-  w.I64(m.jobs);
-  w.I64(m.tasks_completed);
-  w.I64(m.mac_exchanges);
-  w.F64(m.aggregate_bps_sum);
-  PutSketch(w, m.rtt);
-  PutSketch(w, m.ap_queue_delay);
-  PutSketch(w, m.task_latency);
-}
-
-bool GetMerged(ByteReader& r, MergedSummary* m) {
-  m->jobs = r.I64();
-  m->tasks_completed = r.I64();
-  m->mac_exchanges = r.I64();
-  m->aggregate_bps_sum = r.F64();
-  return r.ok() && GetSketch(r, &m->rtt) && GetSketch(r, &m->ap_queue_delay) &&
-         GetSketch(r, &m->task_latency);
 }
 
 }  // namespace
@@ -767,16 +513,13 @@ std::string EncodeArchive(const std::vector<std::string>& result_blobs) {
     body_bytes += 8 + blob.size();
   }
   ByteWriter trailer;
-  PutMerged(trailer, merged);
+  trailer(merged);
 
   ByteWriter w;
   w.str().reserve(12 + body_bytes + trailer.str().size());
-  w.U32(kArchiveMagic);
-  w.U32(kArchiveVersion);
-  w.U32(static_cast<uint32_t>(result_blobs.size()));
+  w(kArchiveMagic, kArchiveVersion, static_cast<uint32_t>(result_blobs.size()));
   for (const std::string& blob : result_blobs) {
-    w.U32(static_cast<uint32_t>(blob.size()));
-    w.U32(Crc32(blob));
+    w(static_cast<uint32_t>(blob.size()), Crc32(blob));
     w.str() += blob;
   }
   w.str() += trailer.str();
@@ -788,10 +531,13 @@ namespace {
 bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>* out,
                            MergedSummary* summary) {
   ByteReader r(data);
-  if (r.U32() != kArchiveMagic) {
+  uint32_t magic = 0;
+  uint32_t version = 0;
+  r(magic);
+  if (magic != kArchiveMagic) {
     return false;
   }
-  const uint32_t version = r.U32();
+  r(version);
   if (r.ok() && version < kArchiveVersion) {
     // A well-framed archive from an older codec is a stale artifact, not corruption:
     // name the version so the user knows to regenerate it.
@@ -805,12 +551,15 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
   const uint32_t jobs = r.Count(kMaxArchiveJobs);
   std::vector<scenario::Results> results;
   if (out != nullptr) {
-    results.reserve(jobs);
+    // Each job frame is a length, a CRC, and at least a magic and an empty Results.
+    const size_t min_frame = 12 + MinWireBytes<scenario::Results>();
+    results.reserve(std::min<size_t>(jobs, r.remaining().size() / min_frame));
   }
   MergedSummary folded;
   for (uint32_t i = 0; i < jobs && r.ok(); ++i) {
-    const uint32_t len = r.U32();
-    const uint32_t crc = r.U32();
+    uint32_t len = 0;
+    uint32_t crc = 0;
+    r(len, crc);
     if (!r.ok() || r.remaining().size() < len) {
       return false;
     }
@@ -829,7 +578,8 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
     r.Advance(len);
   }
   MergedSummary merged;
-  if (!GetMerged(r, &merged) || !r.AtEnd()) {
+  r(merged);
+  if (!r.AtEnd()) {
     return false;
   }
   if (merged != folded) {

@@ -17,12 +17,12 @@
 // merged trailer (pooled sketches + totals), so `cmp` on two archives is the
 // byte-identity acceptance test.
 //
-// Format v2 (windowed stats): jobs carry the StatsConfig, FlowResults carry the
-// `exact` retention flag, and Results carry the three windowed meter series. Job and
-// Results magics bumped ("CAJ2"/"CAR2") so v1 blobs fail decoding cleanly; archives
-// keep their magic but bump the version field, and decoding a v1 archive throws
-// CampaignError naming the stale version (an old archive is a user-facing artifact,
-// not line noise - it deserves a diagnosis, not a silent false).
+// Each payload starts with a magic that names its layout; a decoder refuses any other
+// layout rather than half-decode it. Archives keep one magic and carry a version field
+// instead, and decoding a well-framed archive of an older version throws CampaignError
+// naming that version (an old archive is a user-facing artifact, not line noise - it
+// deserves a diagnosis, not a silent false). codec.cpp's version block is the one place
+// that lists the versions and what each changed.
 #ifndef TBF_CAMPAIGN_CODEC_H_
 #define TBF_CAMPAIGN_CODEC_H_
 

@@ -7,8 +7,8 @@
 namespace tbf::core {
 
 TimeBasedRegulator::TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings,
-                                       TbrConfig config)
-    : sim_(sim), timings_(timings), config_(config) {}
+                                       TbrConfig config, size_t per_queue_limit)
+    : sim_(sim), timings_(timings), config_(config), per_queue_limit_(per_queue_limit) {}
 
 void TimeBasedRegulator::OnAssociate(NodeId client) { GetOrAssociate(client); }
 
@@ -96,7 +96,7 @@ void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
 
 bool TimeBasedRegulator::Enqueue(net::PacketPtr packet) {
   ClientState& st = GetOrAssociate(packet->wlan_client);
-  if (st.queue.size() >= config_.per_queue_limit) {
+  if (st.queue.size() >= per_queue_limit_) {
     CountDrop();
     return false;
   }
@@ -118,37 +118,6 @@ net::PacketPtr TimeBasedRegulator::Dequeue() {
       return st.queue.PopFront();
     }
   }
-  switch (config_.mode) {
-    case TbrMode::kStock:
-    case TbrMode::kFastEwma:
-      break;
-    case TbrMode::kBurstCredit: {
-      // Borrow pass: no in-credit client is waiting, so a client within its burst
-      // credit may spend unused airtime now and repay from its future fill. Same
-      // round-robin order as the strict pass, so borrowers take fair turns.
-      for (size_t i = 0; i < n; ++i) {
-        const size_t idx = next_ + i < n ? next_ + i : next_ + i - n;
-        ClientState& st = clients_[idx];
-        if (CanBorrow(st)) {
-          next_ = idx + 1 < n ? idx + 1 : 0;
-          return st.queue.PopFront();
-        }
-      }
-      return nullptr;
-    }
-    case TbrMode::kCreditHybrid: {
-      // Work-conserving fallback that keeps uplink regulation: serve the backlogged
-      // client closest to eligibility, but never release a throttled client's pure
-      // TCP acks and never serve past the debt cap.
-      ClientState* best = nullptr;
-      for (ClientState& st : clients_) {
-        if (HybridFallback(st) && (best == nullptr || st.tokens > best->tokens)) {
-          best = &st;
-        }
-      }
-      return best == nullptr ? nullptr : best->queue.PopFront();
-    }
-  }
   if (!config_.work_conserving_fallback) {
     return nullptr;
   }
@@ -168,12 +137,11 @@ net::PacketPtr TimeBasedRegulator::Dequeue() {
 
 bool TimeBasedRegulator::HasEligible() const {
   for (const ClientState& st : clients_) {
-    if (Serviceable(st)) {
+    if (Eligible(st)) {
       return true;
     }
   }
-  if (config_.work_conserving_fallback &&
-      (config_.mode == TbrMode::kStock || config_.mode == TbrMode::kFastEwma)) {
+  if (config_.work_conserving_fallback) {
     for (const ClientState& st : clients_) {
       if (!st.queue.empty()) {
         return true;
@@ -252,12 +220,12 @@ void TimeBasedRegulator::FillEvent() {
   last_fill_ = now;
   bool became_eligible = false;
   for (ClientState& st : clients_) {
-    const bool was = Serviceable(st);
+    const bool was = Eligible(st);
     st.tokens += static_cast<TimeNs>(st.rate * static_cast<double>(dt));
     if (st.tokens > config_.bucket_depth) {
       st.tokens = config_.bucket_depth;
     }
-    became_eligible = became_eligible || (!was && Serviceable(st));
+    became_eligible = became_eligible || (!was && Eligible(st));
   }
   if (became_eligible) {
     NotifyBacklog();

@@ -34,30 +34,20 @@
 
 namespace tbf::core {
 
-// Scheduling policy of the regulator. kStock is the paper's TBR; the other three are
-// the adaptive contenders raced in docs/schedulers.md, built to erase the "burst tax"
-// (equal 1/N initial shares penalize the first short burst in a mostly-idle cell until
-// the 500 ms adjuster converges) while keeping the paper's long-term time fairness.
+// Scheduling policy of the regulator. kStock is the paper's TBR. kFastEwma is the
+// adaptive variant raced in docs/schedulers.md: it erases the "burst tax" (equal 1/N
+// initial shares penalize the first short burst in a mostly-idle cell until the 500 ms
+// adjuster moves them) while keeping the paper's long-term time fairness.
 enum class TbrMode : int {
   kStock = 0,
-  // A backlogged client may borrow channel time up to burst_credit beyond its bucket
-  // (tokens down to -burst_credit) - but only when no in-credit client is waiting, so
-  // the borrow spends otherwise-unused airtime. The debt repays from future fill before
-  // the client earns positive tokens again, and ack-withholding re-engages at the cap.
-  kBurstCredit = 1,
   // Replaces the fixed 500 ms ADJUSTRATEEVENT with a demand-driven reallocation every
   // demand_period (sub-100 ms): clients with live demand (backlog, debt, or smoothed
   // usage above demand_active_threshold) split the channel by weight; idle clients keep
   // min_rate so they can ramp back. Under saturation (total smoothed usage >=
   // saturation_guard) shares revert to the static weighted fair split, so estimator
   // noise cannot bleed share from busy nodes - the same guard the stock adjuster uses.
-  kFastEwma = 2,
-  // Packet-granularity work conservation that preserves uplink regulation: when no
-  // queue has positive tokens, serve the most-token backlogged queue *unless* its head
-  // packet is a pure TCP ack (an over-budget client's acks stay withheld, which is
-  // exactly the lever the stock work_conserving_fallback defeats) or its debt already
-  // exceeds hybrid_debt_cap.
-  kCreditHybrid = 3,
+  kFastEwma = 1,
+  kLast = kFastEwma,  // Range sentinel for decoders; an alias, not a mode.
 };
 
 struct TbrConfig {
@@ -90,15 +80,15 @@ struct TbrConfig {
 
   // Work conservation at *packet* granularity: when no queue has positive tokens but
   // packets are waiting, release from the most-token backlogged queue instead of idling.
-  // Default OFF: the paper keeps utilization high with ADJUSTRATEEVENT alone, and the
-  // packet-level fallback defeats uplink ack-withholding (the AP queue often holds only
-  // the throttled node's acks, so the fallback would always release them). Kept as an
-  // option for the ablation bench.
+  // Default OFF because the packet-level fallback defeats uplink ack-withholding (the AP
+  // queue often holds only the throttled node's acks, so the fallback would always
+  // release them). Without it, an associated station that sends nothing holds channel
+  // time nobody uses, for good: ADJUSTRATEEVENT donates only while a client's excess
+  // (its rate minus its smoothed usage, so at most its share) is at least
+  // adjust_threshold, and never takes a donor below adjust_threshold / 2 above its use.
+  // With equal weights and N >= 13 stations (1/N < 0.08) no share moves at all. Kept
+  // as an option for the ablation bench and the trace audit.
   bool work_conserving_fallback = false;
-
-  // kBurstCredit: how far below zero a backlogged client's bucket may run while the
-  // channel would otherwise idle. Bounds both the free first burst and the repayment.
-  TimeNs burst_credit = Ms(150);
 
   // kFastEwma: demand-event cadence and smoothing. A client counts as active while it
   // is backlogged, in token debt, or its demand EWMA is at least the threshold
@@ -106,11 +96,6 @@ struct TbrConfig {
   TimeNs demand_period = Ms(50);
   double demand_alpha = 0.3;
   double demand_active_threshold = 0.02;
-
-  // kCreditHybrid: debt bound for the work-conserving fallback; a client deeper in
-  // debt is skipped even when the channel would idle, so one greedy queue cannot run
-  // away on free packets.
-  TimeNs hybrid_debt_cap = Ms(250);
 
   // Occupancy estimator.
   bool use_retry_info = false;  // Paper's implementation: false.
@@ -121,9 +106,6 @@ struct TbrConfig {
   // set this to the declared station count, making charges association-order
   // invariant; identical to the legacy divisor for scenarios that associate upfront.
   int contention_contenders = 0;
-
-  // Queueing: per-client drop-tail limit (paper splits the stock 100-packet buffer).
-  size_t per_queue_limit = 50;
 
   // Optional explicit client cooperation (paper 4.1) for uplink UDP.
   bool client_agent = false;
@@ -136,7 +118,10 @@ class TimeBasedRegulator : public ap::Qdisc {
  public:
   using ClientPauseFn = std::function<void(NodeId client, TimeNs until)>;
 
-  TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings, TbrConfig config = {});
+  // `per_queue_limit` is each client's drop-tail limit (the paper splits the stock
+  // 100-packet buffer), the same AP limit the other per-client qdiscs take.
+  TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings, TbrConfig config = {},
+                     size_t per_queue_limit = 50);
 
   // ap::Qdisc implementation.
   void OnAssociate(NodeId client) override;
@@ -186,30 +171,6 @@ class TimeBasedRegulator : public ap::Qdisc {
   void Charge(NodeId client, TimeNs occupancy);
   void MaybePauseClient(const ClientState& st);
   bool Eligible(const ClientState& st) const { return !st.queue.empty() && st.tokens > 0; }
-  // A borrower in (-burst_credit, 0] may transmit when no in-credit client is waiting.
-  bool CanBorrow(const ClientState& st) const {
-    return !st.queue.empty() && st.tokens > -config_.burst_credit;
-  }
-  // Hybrid fallback candidate: backlogged, within the debt cap, and not leading with a
-  // pure TCP ack (over-budget acks stay withheld - the whole point of the hybrid).
-  bool HybridFallback(const ClientState& st) const {
-    return !st.queue.empty() && st.tokens > -config_.hybrid_debt_cap &&
-           st.queue.front()->proto != net::Proto::kTcpAck;
-  }
-  // Everything Dequeue() could serve right now; drives HasEligible() and the
-  // FillEvent edge detection that wakes the AP.
-  bool Serviceable(const ClientState& st) const {
-    switch (config_.mode) {
-      case TbrMode::kStock:
-      case TbrMode::kFastEwma:
-        return Eligible(st);
-      case TbrMode::kBurstCredit:
-        return CanBorrow(st);
-      case TbrMode::kCreditHybrid:
-        return Eligible(st) || HybridFallback(st);
-    }
-    return Eligible(st);
-  }
   // Dense slot lookup (clients never disassociate); -1 when the client is unknown.
   int32_t SlotOf(NodeId client) const {
     return client >= 0 && static_cast<size_t>(client) < slot_of_.size()
@@ -220,6 +181,7 @@ class TimeBasedRegulator : public ap::Qdisc {
   sim::Simulator* sim_;
   phy::MacTimings timings_;
   TbrConfig config_;
+  size_t per_queue_limit_;
   ClientPauseFn client_pause_;
 
   // Client state packed in association order (which is the round-robin order), indexed

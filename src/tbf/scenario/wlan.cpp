@@ -122,7 +122,7 @@ std::string ValidateScenario(const ScenarioConfig& config,
   if (config.timings.retry_limit < 1) {
     return "config: retry_limit must be >= 1";
   }
-  if (IsTbrKind(config.qdisc)) {
+  if (config.qdisc == QdiscKind::kTbr) {
     const core::TbrConfig& tbr = config.tbr;
     if (tbr.fill_period <= 0 || tbr.bucket_depth <= 0 || tbr.initial_tokens < 0) {
       return "config: TBR needs fill_period > 0, bucket_depth > 0, initial_tokens >= 0";
@@ -132,32 +132,14 @@ std::string ValidateScenario(const ScenarioConfig& config,
       return "config: TBR rate adjust needs adjust_period > 0, adjust_threshold > 0, "
              "min_rate > 0";
     }
-    if (tbr.per_queue_limit == 0) {
-      return "config: TBR per_queue_limit must be > 0";
-    }
     if (tbr.contention_contenders < 0) {
       return "config: TBR contention_contenders must be >= 0 (0 = associated count)";
     }
-    switch (TbrModeForKind(config.qdisc, tbr.mode)) {
-      case core::TbrMode::kStock:
-        break;
-      case core::TbrMode::kBurstCredit:
-        if (tbr.burst_credit < 0) {
-          return "config: TBR burst_credit must be >= 0";
-        }
-        break;
-      case core::TbrMode::kFastEwma:
-        if (tbr.demand_period <= 0 || tbr.demand_alpha <= 0.0 ||
-            tbr.demand_alpha > 1.0 || tbr.demand_active_threshold < 0.0) {
-          return "config: TBR fast-EWMA needs demand_period > 0, demand_alpha in "
-                 "(0, 1], demand_active_threshold >= 0";
-        }
-        break;
-      case core::TbrMode::kCreditHybrid:
-        if (tbr.hybrid_debt_cap < 0) {
-          return "config: TBR hybrid_debt_cap must be >= 0";
-        }
-        break;
+    if (tbr.mode == core::TbrMode::kFastEwma &&
+        (tbr.demand_period <= 0 || tbr.demand_alpha <= 0.0 || tbr.demand_alpha > 1.0 ||
+         tbr.demand_active_threshold < 0.0)) {
+      return "config: TBR fast-EWMA needs demand_period > 0, demand_alpha in (0, 1], "
+             "demand_active_threshold >= 0";
     }
   }
 
@@ -265,14 +247,9 @@ std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulato
       return std::make_unique<ap::BurstRoundRobinQdisc>(
           [rates](NodeId client) { return phy::GetRateInfo(rates->CurrentRate(client)).bps; },
           Mbps(1), config.per_queue_limit);
-    case QdiscKind::kTbr:
-    case QdiscKind::kTbrBurstCredit:
-    case QdiscKind::kTbrFastEwma:
-    case QdiscKind::kTbrCreditHybrid: {
-      core::TbrConfig tbr_config = config.tbr;
-      tbr_config.mode = TbrModeForKind(config.qdisc, config.tbr.mode);
-      auto tbr = std::make_unique<core::TimeBasedRegulator>(sim, config.timings,
-                                                            tbr_config);
+    case QdiscKind::kTbr: {
+      auto tbr = std::make_unique<core::TimeBasedRegulator>(
+          sim, config.timings, config.tbr, config.per_queue_limit);
       *tbr_out = tbr.get();
       return tbr;
     }

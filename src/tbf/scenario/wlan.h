@@ -31,42 +31,20 @@
 
 namespace tbf::scenario {
 
-enum class Direction { kUplink, kDownlink };
-enum class Transport { kTcp, kUdp };
-// kTbr runs the paper's regulator with config.tbr as-is (including config.tbr.mode);
-// the kTbr* variants are the adaptive scheduler family from docs/schedulers.md - the
-// same regulator with the mode forced, so a sweep can race the contenders by kind
-// alone while sharing every other TBR knob.
+// Each wire enum below is contiguous from 0 and names its last value kLast, so a decoder
+// range-checks a raw value with `raw <= kLast`. kLast is an alias, not a case.
+enum class Direction { kUplink, kDownlink, kLast = kDownlink };
+enum class Transport { kTcp, kUdp, kLast = kUdp };
+// kTbr runs the paper's regulator with config.tbr as-is; config.tbr.mode picks the
+// policy (stock or fast-EWMA, docs/schedulers.md).
 enum class QdiscKind {
   kFifo,
   kRoundRobin,
   kDrr,
   kTbr,
   kOarBurst,
-  kTbrBurstCredit,
-  kTbrFastEwma,
-  kTbrCreditHybrid,
+  kLast = kOarBurst,
 };
-
-// True for every kind that builds a core::TimeBasedRegulator.
-inline bool IsTbrKind(QdiscKind kind) {
-  return kind == QdiscKind::kTbr || kind == QdiscKind::kTbrBurstCredit ||
-         kind == QdiscKind::kTbrFastEwma || kind == QdiscKind::kTbrCreditHybrid;
-}
-
-// The regulator mode a kind selects (kTbr defers to the config's own mode).
-inline core::TbrMode TbrModeForKind(QdiscKind kind, core::TbrMode config_mode) {
-  switch (kind) {
-    case QdiscKind::kTbrBurstCredit:
-      return core::TbrMode::kBurstCredit;
-    case QdiscKind::kTbrFastEwma:
-      return core::TbrMode::kFastEwma;
-    case QdiscKind::kTbrCreditHybrid:
-      return core::TbrMode::kCreditHybrid;
-    default:
-      return config_mode;
-  }
-}
 
 // What the application on top of a flow looks like.
 //  kBulk:         one transfer - unbounded when task_bytes == 0, a single finite task
@@ -81,7 +59,13 @@ inline core::TbrMode TbrModeForKind(QdiscKind kind, core::TbrMode config_mode) {
 //                 launches at its logged offset from the flow's start - or when the
 //                 previous transfer completes, whichever is later - and delivers exactly
 //                 its logged bytes via the restartable finite-task sources.
-enum class TrafficModel { kBulk, kTaskSequence, kOnOffWeb, kTraceReplay };
+enum class TrafficModel {
+  kBulk,
+  kTaskSequence,
+  kOnOffWeb,
+  kTraceReplay,
+  kLast = kTraceReplay,
+};
 
 struct StationSpec {
   NodeId id = kInvalidNodeId;
@@ -138,7 +122,7 @@ struct ScenarioConfig {
   QdiscKind qdisc = QdiscKind::kFifo;
   core::TbrConfig tbr;          // Used when qdisc == kTbr.
   size_t fifo_limit = 110;      // Stock kernel interface queue (Exp-Normal).
-  size_t per_queue_limit = 50;  // RR / DRR per-client queues.
+  size_t per_queue_limit = 50;  // RR / DRR / OAR / TBR per-client queues.
   phy::MacTimings timings = phy::MixedModeTimings();
   uint64_t seed = 1;
   BitRate wired_rate = Mbps(100);

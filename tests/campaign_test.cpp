@@ -9,6 +9,9 @@
 // real-time heartbeat deadlines and are kept out of the sanitizer CTest regexes.
 // The clean long-job test has a deadline too, but a 20 ms heartbeat has 400 ms to
 // beat it, and instrumentation slows the jobs, not the beat.
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <random>
 #include <string>
@@ -151,6 +154,82 @@ TEST(CampaignCodecTest, TruncatedPayloadsAreRejectedNotCrashes) {
   // Trailing garbage is also a schema violation, not silently ignored.
   scenario::Results out;
   EXPECT_FALSE(DecodeResults(results_blob + "x", &out));
+  CampaignJob job_out;
+  EXPECT_FALSE(DecodeJob(job_blob + "x", &job_out));
+  std::vector<scenario::Results> archive_out;
+  EXPECT_FALSE(DecodeArchive(EncodeArchive({results_blob}) + "x", &archive_out));
+}
+
+TEST(CampaignCodecTest, CountBoundsAreEnforcedPerElementType) {
+  // Each container's count is bounded by its element type: a job may carry 4096
+  // stations but 65536 flows, and a per-node map 4096 entries. One past a bound is
+  // rejected even though every element is present and well-formed.
+  const CampaignJob base = SmallManifest(1).jobs[0];
+  CampaignJob back;
+  CampaignJob stations = base;
+  stations.stations.resize(4096, base.stations[0]);
+  EXPECT_TRUE(DecodeJob(EncodeJob(stations), &back));
+  stations.stations.push_back(base.stations[0]);
+  EXPECT_FALSE(DecodeJob(EncodeJob(stations), &back));
+
+  CampaignJob flows = base;
+  flows.flows.resize(65536, base.flows[0]);
+  EXPECT_TRUE(DecodeJob(EncodeJob(flows), &back));
+  flows.flows.push_back(base.flows[0]);
+  EXPECT_FALSE(DecodeJob(EncodeJob(flows), &back));
+
+  scenario::Results results;
+  scenario::Results results_back;
+  for (NodeId node = 1; node <= 4096; ++node) {
+    results.goodput_bps[node] = 1.0;
+  }
+  EXPECT_TRUE(DecodeResults(EncodeResults(results), &results_back));
+  results.goodput_bps[4097] = 1.0;
+  EXPECT_FALSE(DecodeResults(EncodeResults(results), &results_back));
+}
+
+TEST(CampaignCodecTest, MapKeysAndWindowStartsMustAscend) {
+  scenario::Results results;
+  results.airtime_share = {{3, 0.25}, {5, 0.75}};
+  results.rtt_series.window = Ms(10);
+  results.rtt_series.windows = {{.start = Ms(0)}, {.start = Ms(10)}};
+  results.goodput_series.window = Ms(10);
+  results.goodput_series.windows = {{.start = Ms(0)}, {.start = Ms(20)}};
+  const std::string blob = EncodeResults(results);
+  scenario::Results back;
+  ASSERT_TRUE(DecodeResults(blob, &back));
+  EXPECT_EQ(back, results);
+
+  // Map keys: magic, goodput map (count 0), airtime count, then (i32 node, f64) pairs.
+  constexpr size_t kFirstKey = 12;
+  constexpr size_t kSecondKey = kFirstKey + 12;
+  ASSERT_EQ(blob[kFirstKey], 3);
+  ASSERT_EQ(blob[kSecondKey], 5);
+  std::string swapped = blob;
+  std::swap(swapped[kFirstKey], swapped[kSecondKey]);
+  EXPECT_FALSE(DecodeResults(swapped, &back));
+  std::string repeated = blob;
+  repeated[kSecondKey] = 3;
+  EXPECT_FALSE(DecodeResults(repeated, &back));
+
+  // Window starts: the writer emits whatever it is given, the reader insists on
+  // strictly ascending starts in both series types.
+  scenario::Results tied = results;
+  tied.rtt_series.windows[1].start = Ms(0);
+  EXPECT_FALSE(DecodeResults(EncodeResults(tied), &back));
+  scenario::Results backwards = results;
+  backwards.goodput_series.windows[1].start = -Ms(10);
+  EXPECT_FALSE(DecodeResults(EncodeResults(backwards), &back));
+
+  // The check keys on the window types, not on any field named `start`: flows may
+  // start in any order.
+  CampaignJob job = SmallManifest(1).jobs[0];
+  job.flows.push_back(job.flows[0]);
+  job.flows[0].start = Ms(50);
+  job.flows[1].start = 0;
+  CampaignJob job_back;
+  ASSERT_TRUE(DecodeJob(EncodeJob(job), &job_back));
+  EXPECT_EQ(job_back, job);
 }
 
 TEST(CampaignCodecTest, ArchiveRoundTripsAndValidatesTrailer) {
@@ -179,6 +258,18 @@ TEST(CampaignCodecTest, ArchiveRoundTripsAndValidatesTrailer) {
     std::vector<scenario::Results> out;
     EXPECT_FALSE(DecodeArchive(bad, &out)) << pos;
   }
+
+  // A well-formed trailer that summarizes other blobs is rejected too: splice job 1's
+  // one-job trailer onto job 0's one-job archive (12-byte header, 8-byte frame).
+  ASSERT_NE(MergeResults({expected[0]}), MergeResults({expected[1]}));
+  const std::string first = EncodeArchive({blobs[0]});
+  const std::string second = EncodeArchive({blobs[1]});
+  const std::string spliced =
+      first.substr(0, 20 + blobs[0].size()) + second.substr(20 + blobs[1].size());
+  std::vector<scenario::Results> out;
+  ASSERT_TRUE(DecodeArchive(first, &out));
+  EXPECT_FALSE(DecodeArchive(spliced, &out));
+  EXPECT_FALSE(DecodeArchiveSummary(spliced, &summary));
 }
 
 TEST(CampaignCodecTest, WindowedResultsRoundTripExactly) {
@@ -209,50 +300,109 @@ TEST(CampaignCodecTest, WindowedResultsRoundTripExactly) {
   }
 }
 
-TEST(CampaignCodecTest, AdaptiveTbrConfigRoundTripsExactly) {
-  // The v3 layout added the adaptive scheduler family: TbrMode plus its knobs lead the
-  // TBR section, and the qdisc enum grew three kinds. Non-default values for every new
-  // field must survive the round trip bit for bit.
+TEST(CampaignCodecTest, TbrConfigRoundTripsExactly) {
+  // Every TbrConfig field set off its default must survive the round trip bit for bit,
+  // so a field missing from the codec's field list cannot hide behind a default.
   Manifest manifest = SmallManifest(1);
   CampaignJob job = manifest.jobs[0];
-  job.config.qdisc = scenario::QdiscKind::kTbrCreditHybrid;
-  job.config.tbr.mode = core::TbrMode::kCreditHybrid;
-  job.config.tbr.burst_credit = Ms(123);
-  job.config.tbr.demand_period = Ms(25);
-  job.config.tbr.demand_alpha = 0.45;
-  job.config.tbr.demand_active_threshold = 0.05;
-  job.config.tbr.hybrid_debt_cap = Ms(321);
-  job.config.tbr.contention_contenders = 7;
+  job.config.qdisc = scenario::QdiscKind::kTbr;
+  core::TbrConfig& tbr = job.config.tbr;
+  tbr.mode = core::TbrMode::kFastEwma;
+  tbr.fill_period = Ms(3);
+  tbr.bucket_depth = Ms(21);
+  tbr.initial_tokens = Ms(11);
+  tbr.enable_rate_adjust = false;
+  tbr.adjust_period = Ms(400);
+  tbr.adjust_threshold = 0.07;
+  tbr.usage_ewma_alpha = 0.25;
+  tbr.saturation_guard = 0.9;
+  tbr.min_rate = 0.02;
+  tbr.maxmin_repair = false;
+  tbr.repair_step = 0.04;
+  tbr.work_conserving_fallback = true;
+  tbr.demand_period = Ms(25);
+  tbr.demand_alpha = 0.45;
+  tbr.demand_active_threshold = 0.05;
+  tbr.use_retry_info = true;
+  tbr.charge_contention_overhead = false;
+  tbr.contention_contenders = 7;
+  tbr.client_agent = true;
+  ASSERT_FALSE(tbr == core::TbrConfig{});
   const std::string blob = EncodeJob(job);
   CampaignJob back;
   ASSERT_TRUE(DecodeJob(blob, &back));
   EXPECT_EQ(back, job);
   EXPECT_EQ(EncodeJob(back), blob);
+}
 
-  // The other two new qdisc kinds sit at the top of the widened enum range
-  // (QdiscKind ceiling 7, TbrMode ceiling 3) - they must decode as themselves.
-  for (const auto kind : {scenario::QdiscKind::kTbrBurstCredit,
-                          scenario::QdiscKind::kTbrFastEwma}) {
-    CampaignJob j = manifest.jobs[0];
-    j.config.qdisc = kind;
-    CampaignJob b;
-    ASSERT_TRUE(DecodeJob(EncodeJob(j), &b));
-    EXPECT_EQ(b.config.qdisc, kind);
+// Sets one enum field of `base` to raw value `last`, then `last + 1`: the first must
+// round-trip, the second must be rejected (the decoder's range comes from kLast).
+template <typename E, typename FieldOf>
+void ExpectEnumRangeEndsAt(const CampaignJob& base, FieldOf field_of, uint32_t last) {
+  CampaignJob job = base;
+  field_of(job) = static_cast<E>(last);
+  CampaignJob back;
+  ASSERT_TRUE(DecodeJob(EncodeJob(job), &back)) << "raw " << last;
+  EXPECT_EQ(back, job);
+  field_of(job) = static_cast<E>(last + 1);
+  EXPECT_FALSE(DecodeJob(EncodeJob(job), &back)) << "raw " << last + 1;
+}
+
+TEST(CampaignCodecTest, EveryWireEnumAcceptsItsLastValueAndRejectsThePast) {
+  const CampaignJob base = SmallManifest(1).jobs[0];
+  ASSERT_FALSE(base.stations.empty());
+  ASSERT_FALSE(base.flows.empty());
+  ExpectEnumRangeEndsAt<scenario::QdiscKind>(
+      base, [](CampaignJob& j) -> auto& { return j.config.qdisc; },
+      static_cast<uint32_t>(scenario::QdiscKind::kLast));
+  ExpectEnumRangeEndsAt<core::TbrMode>(
+      base, [](CampaignJob& j) -> auto& { return j.config.tbr.mode; },
+      static_cast<uint32_t>(core::TbrMode::kLast));
+  ExpectEnumRangeEndsAt<phy::WifiRate>(
+      base, [](CampaignJob& j) -> auto& { return j.stations[0].rate; },
+      phy::kNumWifiRates - 1);
+  ExpectEnumRangeEndsAt<scenario::Direction>(
+      base, [](CampaignJob& j) -> auto& { return j.flows[0].direction; },
+      static_cast<uint32_t>(scenario::Direction::kLast));
+  ExpectEnumRangeEndsAt<scenario::Transport>(
+      base, [](CampaignJob& j) -> auto& { return j.flows[0].transport; },
+      static_cast<uint32_t>(scenario::Transport::kLast));
+  ExpectEnumRangeEndsAt<scenario::TrafficModel>(
+      base, [](CampaignJob& j) -> auto& { return j.flows[0].model; },
+      static_cast<uint32_t>(scenario::TrafficModel::kLast));
+
+  // The raw values of the retired burst-credit and credit-hybrid selectors (TbrMode 2-3,
+  // QdiscKind 5-7) are out of range now, not silently remapped.
+  CampaignJob job = base;
+  CampaignJob back;
+  for (const uint32_t raw : {2u, 3u}) {
+    job.config.tbr.mode = static_cast<core::TbrMode>(raw);
+    EXPECT_FALSE(DecodeJob(EncodeJob(job), &back)) << "TbrMode " << raw;
+  }
+  job = base;
+  for (const uint32_t raw : {5u, 6u, 7u}) {
+    job.config.qdisc = static_cast<scenario::QdiscKind>(raw);
+    EXPECT_FALSE(DecodeJob(EncodeJob(job), &back)) << "QdiscKind " << raw;
   }
 }
 
 TEST(CampaignCodecTest, PreWindowedPayloadMagicsAreRejected) {
   const Manifest manifest = SmallManifest(1);
-  // v1 blobs led with "CAJ1"/"CAR1"; a v2 decoder must reject them outright rather
-  // than misparse the old layout.
-  std::string job_blob = EncodeJob(manifest.jobs[0]);
-  job_blob[3] = '1';  // "CAJ3" -> "CAJ1" (little-endian: byte 3 is the high byte).
-  CampaignJob job_out;
-  EXPECT_FALSE(DecodeJob(job_blob, &job_out));
+  // Older job layouts led with "CAJ1".."CAJ3", older Results with "CAR1"; the decoder
+  // must reject them outright rather than misparse the old layout.
+  const std::string job_blob = EncodeJob(manifest.jobs[0]);
+  ASSERT_EQ(job_blob[0], '4');  // Little-endian: byte 0 is the magic's last letter.
+  for (const char version : {'1', '2', '3'}) {
+    std::string stale = job_blob;
+    stale[0] = version;  // "CAJ4" -> "CAJ<version>".
+    CampaignJob job_out;
+    EXPECT_FALSE(DecodeJob(stale, &job_out)) << "CAJ" << version;
+  }
 
   std::string results_blob =
       EncodeResults(sweep::RunScenarioJob(ToScenarioJob(manifest.jobs[0])));
-  results_blob[3] = '1';  // "CAR3" -> "CAR1".
+  ASSERT_EQ(results_blob[0], '3');
+  results_blob[0] = '1';  // "CAR3" -> "CAR1".
   scenario::Results results_out;
   EXPECT_FALSE(DecodeResults(results_blob, &results_out));
 }
@@ -278,6 +428,62 @@ TEST(CampaignCodecTest, StaleArchiveVersionThrowsNamingTheVersion) {
   // A *future* version is indistinguishable from corruption: false, not a throw.
   archive[4] = 4;
   EXPECT_FALSE(DecodeArchive(archive, &out));
+}
+
+bool SanitizerBuild() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#endif
+#endif
+  return false;
+}
+
+// Virtual memory this process has mapped, in bytes (0 where /proc is unavailable).
+size_t MappedBytes() {
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  unsigned long pages = 0;
+  const int fields = std::fscanf(f, "%lu", &pages);
+  std::fclose(f);
+  return fields == 1 ? pages * static_cast<size_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
+TEST(CampaignCodecTest, CountsClaimingHugeContainersDoNotReserveMemory) {
+  // A 12-byte archive header claiming 2^24 jobs and carrying none: a decoder that
+  // reserves from the count alone asks for 2^24 Results (about 11 GB) and throws
+  // std::bad_alloc under an address-space limit. It must return false instead.
+  if (SanitizerBuild()) {
+    GTEST_SKIP() << "sanitizers map shadow memory that an address-space limit breaks";
+  }
+  const size_t mapped = MappedBytes();
+  if (mapped == 0) {
+    GTEST_SKIP() << "no /proc/self/statm";
+  }
+  std::string archive = EncodeArchive({}).substr(0, 8);  // Magic + version.
+  archive += std::string("\x00\x00\x00\x01", 4);       // 2^24 jobs, little-endian.
+  ASSERT_EQ(archive.size(), 12u);
+
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = mapped + (size_t{256} << 20);  // Room to run, not to reserve GBs.
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &tight), 0);
+  bool decoded = true;
+  bool threw = false;
+  try {
+    std::vector<scenario::Results> out;
+    decoded = DecodeArchive(archive, &out);
+  } catch (...) {
+    threw = true;
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &saved), 0);
+  EXPECT_FALSE(threw);
+  EXPECT_FALSE(decoded);
 }
 
 // ---------------------------------------------------------------------------

@@ -123,9 +123,7 @@ TEST_F(TbrTest, BucketDepthCapsAccumulation) {
 }
 
 TEST_F(TbrTest, PerQueueLimitDrops) {
-  TbrConfig config;
-  config.per_queue_limit = 3;
-  auto tbr = MakeTbr(config);
+  TimeBasedRegulator tbr(&sim_, phy::MixedModeTimings(), {}, /*per_queue_limit=*/3);
   for (int i = 0; i < 5; ++i) {
     tbr.Enqueue(MakePacket(7));
   }

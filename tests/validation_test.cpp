@@ -74,6 +74,26 @@ TEST(ScenarioValidationTest, ConfigBoundsAreEnforced) {
   }
 }
 
+TEST(ScenarioValidationTest, FastEwmaKnobsAreValidatedOnlyInFastEwmaMode) {
+  ScenarioConfig bad_alpha = BaseConfig();
+  bad_alpha.qdisc = QdiscKind::kTbr;
+  bad_alpha.tbr.mode = core::TbrMode::kFastEwma;
+  bad_alpha.tbr.demand_alpha = 1.5;
+  ExpectInvalid(bad_alpha, {Station(1)}, {}, "fast-EWMA");
+
+  ScenarioConfig bad_period = BaseConfig();
+  bad_period.qdisc = QdiscKind::kTbr;
+  bad_period.tbr.mode = core::TbrMode::kFastEwma;
+  bad_period.tbr.demand_period = 0;
+  ExpectInvalid(bad_period, {Station(1)}, {}, "fast-EWMA");
+
+  // Stock TBR never reads the demand knobs, so the same values are not an error.
+  for (ScenarioConfig config : {bad_alpha, bad_period}) {
+    config.tbr.mode = core::TbrMode::kStock;
+    EXPECT_EQ(ValidateScenario(config, {Station(1)}, {BulkTcp(1)}), "");
+  }
+}
+
 TEST(ScenarioValidationTest, StationSpecsAreValidatedWithIdentity) {
   ExpectInvalid(BaseConfig(), {Station(0)}, {}, "station #0");
   ExpectInvalid(BaseConfig(), {Station(kServerId)}, {}, "client ids");
