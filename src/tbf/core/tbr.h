@@ -36,8 +36,9 @@ namespace tbf::core {
 
 // Scheduling policy of the regulator. kStock is the paper's TBR. kFastEwma is the
 // adaptive variant raced in docs/schedulers.md: it erases the "burst tax" (equal 1/N
-// initial shares penalize the first short burst in a mostly-idle cell until the 500 ms
-// adjuster moves them) while keeping the paper's long-term time fairness.
+// shares penalize the first short burst in a mostly-idle cell, and the 500 ms adjuster
+// moves idle shares only partly - see work_conserving_fallback) while keeping the
+// paper's long-term time fairness.
 enum class TbrMode : int {
   kStock = 0,
   // Replaces the fixed 500 ms ADJUSTRATEEVENT with a demand-driven reallocation every

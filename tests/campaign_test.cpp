@@ -12,6 +12,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
@@ -454,9 +455,11 @@ size_t MappedBytes() {
 }
 
 TEST(CampaignCodecTest, CountsClaimingHugeContainersDoNotReserveMemory) {
-  // A 12-byte archive header claiming 2^24 jobs and carrying none: a decoder that
-  // reserves from the count alone asks for 2^24 Results (about 11 GB) and throws
-  // std::bad_alloc under an address-space limit. It must return false instead.
+  // Counts that claim far more elements than the bytes left could hold: a 12-byte
+  // archive header claiming 2^24 jobs (reserving from the count alone asks for about
+  // 11 GB of Results), and a Results blob whose first series claims 2^20 windows
+  // (40 MiB). Under an address-space limit such a reserve throws std::bad_alloc; the
+  // decoders must return false instead.
   if (SanitizerBuild()) {
     GTEST_SKIP() << "sanitizers map shadow memory that an address-space limit breaks";
   }
@@ -467,23 +470,33 @@ TEST(CampaignCodecTest, CountsClaimingHugeContainersDoNotReserveMemory) {
   std::string archive = EncodeArchive({}).substr(0, 8);  // Magic + version.
   archive += std::string("\x00\x00\x00\x01", 4);       // 2^24 jobs, little-endian.
   ASSERT_EQ(archive.size(), 12u);
+  // An empty Results ends with four series of (i64 window, u32 count): keep the first
+  // series' window, then claim 2^20 windows.
+  const std::string empty = EncodeResults(scenario::Results());
+  std::string results_blob = empty.substr(0, empty.size() - 4 * 12 + 8);
+  results_blob += std::string("\x00\x00\x10\x00", 4);
 
   rlimit saved{};
   ASSERT_EQ(getrlimit(RLIMIT_AS, &saved), 0);
   rlimit tight = saved;
-  tight.rlim_cur = mapped + (size_t{256} << 20);  // Room to run, not to reserve GBs.
+  // Room to run, not to reserve tens of MiB.
+  tight.rlim_cur = std::min<rlim_t>(saved.rlim_max, mapped + (size_t{16} << 20));
   ASSERT_EQ(setrlimit(RLIMIT_AS, &tight), 0);
-  bool decoded = true;
+  bool archive_decoded = true;
+  bool results_decoded = true;
   bool threw = false;
   try {
-    std::vector<scenario::Results> out;
-    decoded = DecodeArchive(archive, &out);
+    std::vector<scenario::Results> archive_out;
+    archive_decoded = DecodeArchive(archive, &archive_out);
+    scenario::Results results_out;
+    results_decoded = DecodeResults(results_blob, &results_out);
   } catch (...) {
     threw = true;
   }
   ASSERT_EQ(setrlimit(RLIMIT_AS, &saved), 0);
   EXPECT_FALSE(threw);
-  EXPECT_FALSE(decoded);
+  EXPECT_FALSE(archive_decoded);
+  EXPECT_FALSE(results_decoded);
 }
 
 // ---------------------------------------------------------------------------
