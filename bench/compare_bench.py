@@ -15,9 +15,14 @@ under the output's "scenarios" key - the headline numbers of scenario-level benc
 (fig6, table1_packet_level, trace_replay) ride along with the micro trajectory, so one
 BENCH_*.json carries both views of a PR.
 
+Repeated runs (--benchmark_repetitions=N) record each benchmark's median, the
+repetition count, and the _cv aggregate (standard deviation over mean of the
+repetitions' real times) as the noise figure of that median.
+
 Gate mode: --gate-against BENCH_prN.json [--max-regression 2.0] additionally compares
-this run's times against a committed trajectory file and exits non-zero when any common
-benchmark regressed by more than the factor. When both this run (via --scenarios) and
+this run's times against a committed trajectory file and exits non-zero when any
+benchmark regressed by more than the factor, or when a benchmark of the reference is
+missing from this run (renamed, filtered out, or lost). When both this run (via --scenarios) and
 the reference carry a "scenarios" section, numeric keys ending in _bytes or _kb are
 ratio-checked the same way - readout-memory budgets (bench_campus_scale's metrology
 numbers) gate alongside times. The tolerance is deliberately loose (2x by default): CI
@@ -31,23 +36,31 @@ import sys
 
 def load_medians(path):
     """Returns {benchmark_name: {...}} using *_median aggregates when present, else the
-    plain entry (single-repetition runs)."""
+    plain entry (single-repetition runs). Every entry carries its repetition count; a
+    repeated run's entry also carries real_time_cv from the _cv aggregate."""
     with open(path) as f:
         doc = json.load(f)
     out = {}
+    cvs = {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type") == "aggregate" and b.get("aggregate_name") != "median":
-            continue
         name = b.get("run_name", b["name"])
+        if b.get("run_type") == "aggregate" and b.get("aggregate_name") != "median":
+            if b.get("aggregate_name") == "cv":
+                cvs[name] = b["real_time"]  # A ratio, whatever the time unit.
+            continue
         entry = {
             "real_time_ns": b["real_time"] * _to_ns(b.get("time_unit", "ns")),
             "cpu_time_ns": b["cpu_time"] * _to_ns(b.get("time_unit", "ns")),
+            "repetitions": b.get("repetitions", 1),
         }
         if "items_per_second" in b:
             entry["items_per_second"] = b["items_per_second"]
         # Plain entries must not clobber a median aggregate already recorded.
         if b.get("run_type") == "aggregate" or name not in out:
             out[name] = entry
+    for name, cv in cvs.items():
+        if name in out:
+            out[name]["real_time_cv"] = round(cv, 4)
     return out, doc.get("context", {})
 
 
@@ -73,13 +86,20 @@ def _memory_keys(doc, prefix=""):
 
 def gate(benchmarks, scenarios, gate_path, max_regression):
     """Compares `after` times (and scenario memory keys, when both sides carry a
-    scenarios section) against a committed trajectory file; returns the list of
-    (name, ratio) entries exceeding max_regression."""
+    scenarios section) against a committed trajectory file; returns one failure
+    message per measurement exceeding max_regression and per reference benchmark
+    this run lacks."""
     with open(gate_path) as f:
         reference = json.load(f)
     ref_benchmarks = reference.get("benchmarks", {})
     offenders = []
     checked = 0
+    # A benchmark the reference measured but this run did not is a failure, not a
+    # skip: a rename or a lost registration would otherwise retire its gate silently.
+    for name, ref in sorted(ref_benchmarks.items()):
+        if "after" in ref and name not in benchmarks:
+            print(f"  gate {name}: in the reference, missing from this run <-- MISSING")
+            offenders.append(f"{name} is missing from this run")
     for name, row in sorted(benchmarks.items()):
         ref = ref_benchmarks.get(name)
         if ref is None or "after" not in ref:
@@ -94,7 +114,7 @@ def gate(benchmarks, scenarios, gate_path, max_regression):
         print(f"  gate {name}: {cur_ns:.0f} ns vs {ref_ns:.0f} ns "
               f"(x{ratio:.2f}){marker}")
         if ratio > max_regression:
-            offenders.append((name, ratio))
+            offenders.append(f"{name} regressed x{ratio:.2f} (> x{max_regression})")
     # Memory keys ride the same tolerance: readout memory is a first-class budget
     # (the streaming StatsEngine exists to bound it), so growth past the factor is a
     # regression exactly like a slowdown.
@@ -109,9 +129,10 @@ def gate(benchmarks, scenarios, gate_path, max_regression):
         print(f"  gate scenarios.{path}: {value:.0f} vs {ref_value:.0f} "
               f"(x{ratio:.2f}){marker}")
         if ratio > max_regression:
-            offenders.append((f"scenarios.{path}", ratio))
+            offenders.append(f"scenarios.{path} regressed x{ratio:.2f} "
+                             f"(> x{max_regression})")
     print(f"gate: {checked} measurements compared against {gate_path} "
-          f"(tolerance x{max_regression}), {len(offenders)} regressed")
+          f"(tolerance x{max_regression}), {len(offenders)} failed")
     return offenders
 
 
@@ -172,9 +193,8 @@ def main():
     if args.gate_against:
         offenders = gate(benchmarks, scenarios, args.gate_against, args.max_regression)
         if offenders:
-            for name, ratio in offenders:
-                print(f"FAIL: {name} regressed x{ratio:.2f} "
-                      f"(> x{args.max_regression})", file=sys.stderr)
+            for message in offenders:
+                print(f"FAIL: {message}", file=sys.stderr)
             return 1
     return 0
 

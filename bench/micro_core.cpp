@@ -133,6 +133,35 @@ void BM_TbrEnqueueDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_TbrEnqueueDequeue)->Arg(2)->Arg(8)->Arg(32);
 
+// FILLEVENT bookkeeping at cell scale: one fill period per iteration with N associated
+// clients, a quarter of them backlogged and so deep in debt that none recovers during
+// the run. The tick then does nothing but bookkeeping; a per-client fill loop makes it
+// O(N) again.
+void BM_TbrFillTick(benchmark::State& state) {
+  const int clients = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  net::PacketPool pool;
+  core::TbrConfig config;
+  config.use_retry_info = true;  // Uplink charges bill the record's airtime as given.
+  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config);
+  for (NodeId id = 1; id <= clients; ++id) {
+    tbr.OnAssociate(id);
+  }
+  for (NodeId id = 1; id <= clients; id += 4) {
+    tbr.Enqueue(MakePacket(pool, id));
+    mac::ExchangeRecord record;
+    record.owner = id;
+    record.airtime = Sec(1'000'000);
+    tbr.OnUplinkObserved(record);
+  }
+  const TimeNs period = config.fill_period;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.RunUntil(sim.Now() + period));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TbrFillTick)->Arg(256);
+
 // Steady-state pooled allocate/release churn with a live working set, the per-packet
 // allocator cost every transport emission pays (vs the make_shared/atomic-refcount
 // path this replaced). A 64-handle ring keeps slots cycling FIFO-ish through the

@@ -12,20 +12,21 @@ TimeBasedRegulator::TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timi
 
 void TimeBasedRegulator::OnAssociate(NodeId client) { GetOrAssociate(client); }
 
-TimeBasedRegulator::ClientState& TimeBasedRegulator::GetOrAssociate(NodeId client) {
+size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
   TBF_CHECK(client >= 0) << "TBR regulates per-client traffic; packets need a client";
   if (static_cast<size_t>(client) >= slot_of_.size()) {
     slot_of_.resize(static_cast<size_t>(client) + 1, -1);
   }
-  int32_t slot = slot_of_[static_cast<size_t>(client)];
-  if (slot >= 0) {
-    return clients_[static_cast<size_t>(slot)];
+  const int32_t known = slot_of_[static_cast<size_t>(client)];
+  if (known >= 0) {
+    return static_cast<size_t>(known);
   }
-  slot = static_cast<int32_t>(clients_.size());
-  slot_of_[static_cast<size_t>(client)] = slot;
-  clients_.emplace_back();
-  ClientState& st = clients_.back();
-  st.tokens = config_.initial_tokens;
+  const size_t slot = clients_.size();
+  slot_of_[static_cast<size_t>(client)] = static_cast<int32_t>(slot);
+  ClientQueue& q = queues_.emplace_back();
+  q.tokens = config_.initial_tokens;
+  q.synced = ticks_;
+  ClientState& st = clients_.emplace_back();
   st.id = client;
   total_weight_ += st.weight;
   if (rates_adjusted_ && total_weight_ > 0.0) {
@@ -39,13 +40,13 @@ TimeBasedRegulator::ClientState& TimeBasedRegulator::GetOrAssociate(NodeId clien
       other.rate *= 1.0 - share;
     }
     st.rate = share;
+    refill_due_ = true;
   } else {
     RecomputeFairRates();
   }
 
   if (!timers_started_) {
     timers_started_ = true;
-    last_fill_ = sim_->Now();
     sim_->Schedule(config_.fill_period, [this] { FillEvent(); });
     if (config_.enable_rate_adjust) {
       if (config_.mode == TbrMode::kFastEwma) {
@@ -55,7 +56,7 @@ TimeBasedRegulator::ClientState& TimeBasedRegulator::GetOrAssociate(NodeId clien
       }
     }
   }
-  return clients_[static_cast<size_t>(slot)];
+  return slot;
 }
 
 void TimeBasedRegulator::RecomputeFairRates() {
@@ -65,10 +66,11 @@ void TimeBasedRegulator::RecomputeFairRates() {
   for (ClientState& st : clients_) {
     st.rate = st.weight / total_weight_;
   }
+  refill_due_ = true;
 }
 
 void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
-  ClientState& st = GetOrAssociate(client);
+  ClientState& st = clients_[GetOrAssociate(client)];
   const double old_weight = st.weight;
   total_weight_ += weight - st.weight;
   st.weight = weight;
@@ -92,58 +94,74 @@ void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
   for (ClientState& other : clients_) {
     other.rate /= sum;
   }
+  refill_due_ = true;
 }
 
 bool TimeBasedRegulator::Enqueue(net::PacketPtr packet) {
-  ClientState& st = GetOrAssociate(packet->wlan_client);
-  if (st.queue.size() >= per_queue_limit_) {
+  const size_t slot = GetOrAssociate(packet->wlan_client);
+  ClientQueue& q = queues_[slot];
+  if (q.packets.size() >= per_queue_limit_) {
     CountDrop();
     return false;
   }
-  st.queue.PushBack(std::move(packet));
+  const bool was_empty = q.packets.empty();
+  q.packets.PushBack(std::move(packet));
+  if (was_empty) {
+    Sync(q);
+    Rewake(slot);
+  }
   return true;
 }
 
 net::PacketPtr TimeBasedRegulator::Dequeue() {
-  const size_t n = clients_.size();
+  const size_t n = queues_.size();
   if (n == 0) {
     return nullptr;
   }
   // Round-robin over queues with positive channel-time credit (Fig. 6, MACTXEVENT).
+  // An eligible client is not in the wake heap, and popping leaves it out.
   for (size_t i = 0; i < n; ++i) {
     const size_t idx = next_ + i < n ? next_ + i : next_ + i - n;
-    ClientState& st = clients_[idx];
-    if (Eligible(st)) {
+    ClientQueue& q = queues_[idx];
+    if (q.packets.empty()) {
+      continue;
+    }
+    Sync(q);
+    if (q.tokens > 0) {
       next_ = idx + 1 < n ? idx + 1 : 0;
-      return st.queue.PopFront();
+      return q.packets.PopFront();
     }
   }
   if (!config_.work_conserving_fallback) {
     return nullptr;
   }
   // No positive-credit queue: rather than idle the channel, serve the backlogged client
-  // closest to eligibility (largest token balance).
-  ClientState* best = nullptr;
-  for (ClientState& st : clients_) {
-    if (!st.queue.empty() && (best == nullptr || st.tokens > best->tokens)) {
-      best = &st;
+  // closest to eligibility (largest token balance). The scan above synced every
+  // backlogged client.
+  size_t best = n;
+  for (size_t slot = 0; slot < n; ++slot) {
+    const ClientQueue& q = queues_[slot];
+    if (!q.packets.empty() && (best == n || q.tokens > queues_[best].tokens)) {
+      best = slot;
     }
   }
-  if (best == nullptr) {
+  if (best == n) {
     return nullptr;
   }
-  return best->queue.PopFront();
+  net::PacketPtr packet = queues_[best].packets.PopFront();
+  Rewake(best);  // An emptied queue leaves the wake heap.
+  return packet;
 }
 
 bool TimeBasedRegulator::HasEligible() const {
-  for (const ClientState& st : clients_) {
-    if (Eligible(st)) {
+  for (const ClientQueue& q : queues_) {
+    if (!q.packets.empty() && TokensNow(q) > 0) {
       return true;
     }
   }
   if (config_.work_conserving_fallback) {
-    for (const ClientState& st : clients_) {
-      if (!st.queue.empty()) {
+    for (const ClientQueue& q : queues_) {
+      if (!q.packets.empty()) {
         return true;
       }
     }
@@ -153,8 +171,8 @@ bool TimeBasedRegulator::HasEligible() const {
 
 size_t TimeBasedRegulator::QueuedPackets() const {
   size_t n = 0;
-  for (const ClientState& st : clients_) {
-    n += st.queue.size();
+  for (const ClientQueue& q : queues_) {
+    n += q.packets.size();
   }
   return n;
 }
@@ -180,15 +198,18 @@ TimeNs TimeBasedRegulator::EstimateOccupancy(int mac_frame_bytes, phy::WifiRate 
 }
 
 void TimeBasedRegulator::Charge(NodeId client, TimeNs occupancy) {
-  const int32_t slot = SlotOf(client);
-  if (slot < 0) {
+  const int32_t found = SlotOf(client);
+  if (found < 0) {
     return;
   }
-  ClientState& st = clients_[static_cast<size_t>(slot)];
-  st.tokens -= occupancy;
-  st.actual += occupancy;
+  const auto slot = static_cast<size_t>(found);
+  ClientQueue& q = queues_[slot];
+  Sync(q);
+  q.tokens -= occupancy;
+  clients_[slot].actual += occupancy;
+  Rewake(slot);
   if (config_.client_agent) {
-    MaybePauseClient(st);
+    MaybePauseClient(slot);
   }
 }
 
@@ -215,22 +236,110 @@ void TimeBasedRegulator::OnUplinkObserved(const mac::ExchangeRecord& record) {
 }
 
 void TimeBasedRegulator::FillEvent() {
-  const TimeNs now = sim_->Now();
-  const TimeNs dt = now - last_fill_;
-  last_fill_ = now;
+  // Each tick is fill_period after the last, so it adds rate * fill_period to every
+  // bucket; TokensNow() folds that in when a client is next touched. Only the clients
+  // this tick lifts above zero while backlogged need the MAC's attention now.
+  if (refill_due_) {
+    Refill();
+  }
+  ++ticks_;
   bool became_eligible = false;
-  for (ClientState& st : clients_) {
-    const bool was = Eligible(st);
-    st.tokens += static_cast<TimeNs>(st.rate * static_cast<double>(dt));
-    if (st.tokens > config_.bucket_depth) {
-      st.tokens = config_.bucket_depth;
-    }
-    became_eligible = became_eligible || (!was && Eligible(st));
+  while (!wake_.empty() && wake_.front().tick <= ticks_) {
+    WakeErase(0);
+    became_eligible = true;
   }
   if (became_eligible) {
     NotifyBacklog();
   }
   sim_->Schedule(config_.fill_period, [this] { FillEvent(); });
+}
+
+void TimeBasedRegulator::Refill() {
+  // Rates moved since the last tick. Each client first takes the ticks it missed at
+  // the fill they were filled at, then gets the fill of its new rate, and the wake
+  // heap is rebuilt on the new keys: one pass, before the first tick at the new rates.
+  refill_due_ = false;
+  wake_.clear();
+  // Room for every client to wait at once, so the heap never allocates in flight (an
+  // association always runs a Refill() before the heap can grow again).
+  wake_.reserve(queues_.size());
+  for (size_t slot = 0; slot < queues_.size(); ++slot) {
+    ClientQueue& q = queues_[slot];
+    Sync(q);
+    q.fill = static_cast<TimeNs>(clients_[slot].rate *
+                                 static_cast<double>(config_.fill_period));
+    q.wake_pos = -1;
+    if (Waits(q)) {
+      q.wake_pos = static_cast<int32_t>(wake_.size());
+      wake_.push_back({WakeTick(q), static_cast<int32_t>(slot)});
+    }
+  }
+  for (size_t pos = wake_.size() / 2; pos-- > 0;) {
+    WakeSiftDown(pos);
+  }
+}
+
+void TimeBasedRegulator::Rewake(size_t slot) {
+  if (refill_due_) {
+    return;  // Fills are stale; the coming tick's Refill() rebuilds the heap.
+  }
+  const ClientQueue& q = queues_[slot];
+  if (q.wake_pos >= 0) {
+    WakeErase(static_cast<size_t>(q.wake_pos));
+  }
+  if (Waits(q)) {
+    wake_.push_back({WakeTick(q), static_cast<int32_t>(slot)});
+    WakeSiftUp(wake_.size() - 1);
+  }
+}
+
+void TimeBasedRegulator::WakeErase(size_t pos) {
+  queues_[static_cast<size_t>(wake_[pos].slot)].wake_pos = -1;
+  const Wake last = wake_.back();
+  wake_.pop_back();
+  if (pos == wake_.size()) {
+    return;
+  }
+  const bool earlier = last.tick < wake_[pos].tick;
+  WakePlace(pos, last);
+  if (earlier) {
+    WakeSiftUp(pos);
+  } else {
+    WakeSiftDown(pos);
+  }
+}
+
+void TimeBasedRegulator::WakeSiftUp(size_t pos) {
+  const Wake wake = wake_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (wake_[parent].tick <= wake.tick) {
+      break;
+    }
+    WakePlace(pos, wake_[parent]);
+    pos = parent;
+  }
+  WakePlace(pos, wake);
+}
+
+void TimeBasedRegulator::WakeSiftDown(size_t pos) {
+  const Wake wake = wake_[pos];
+  const size_t n = wake_.size();
+  for (;;) {
+    size_t child = 2 * pos + 1;
+    if (child >= n) {
+      break;
+    }
+    if (child + 1 < n && wake_[child + 1].tick < wake_[child].tick) {
+      ++child;
+    }
+    if (wake.tick <= wake_[child].tick) {
+      break;
+    }
+    WakePlace(pos, wake_[child]);
+    pos = child;
+  }
+  WakePlace(pos, wake);
 }
 
 void TimeBasedRegulator::AdjustRateEvent() {
@@ -322,6 +431,7 @@ void TimeBasedRegulator::AdjustRateEvent() {
   for (ClientState& st : clients_) {
     st.actual = 0;
   }
+  refill_due_ = true;
   sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
 }
 
@@ -342,11 +452,9 @@ void TimeBasedRegulator::DemandEvent() {
     total_demand += st.smoothed_usage;
     st.actual = 0;
   }
-  for (ClientState& st : clients_) {
-    const bool active = !st.queue.empty() || st.tokens < 0 ||
-                        st.smoothed_usage >= config_.demand_active_threshold;
-    if (active) {
-      active_weight += st.weight;
+  for (size_t slot = 0; slot < clients_.size(); ++slot) {
+    if (DemandActive(slot)) {
+      active_weight += clients_[slot].weight;
     } else {
       ++idle_count;
     }
@@ -360,34 +468,42 @@ void TimeBasedRegulator::DemandEvent() {
     RecomputeFairRates();
   } else {
     // Idle clients keep min_rate so they can ramp back; active clients split the
-    // rest by weight. Second pass recomputes the active predicate identically.
-    for (ClientState& st : clients_) {
-      const bool active = !st.queue.empty() || st.tokens < 0 ||
-                          st.smoothed_usage >= config_.demand_active_threshold;
-      st.rate = active ? (st.weight / active_weight) * (1.0 - idle_floor)
-                       : config_.min_rate;
+    // rest by weight.
+    for (size_t slot = 0; slot < clients_.size(); ++slot) {
+      ClientState& st = clients_[slot];
+      st.rate = DemandActive(slot) ? (st.weight / active_weight) * (1.0 - idle_floor)
+                                   : config_.min_rate;
     }
+    refill_due_ = true;
     rates_adjusted_ = true;
   }
   sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
 }
 
-void TimeBasedRegulator::MaybePauseClient(const ClientState& st) {
+bool TimeBasedRegulator::DemandActive(size_t slot) const {
+  const ClientQueue& q = queues_[slot];
+  return !q.packets.empty() || TokensNow(q) < 0 ||
+         clients_[slot].smoothed_usage >= config_.demand_active_threshold;
+}
+
+void TimeBasedRegulator::MaybePauseClient(size_t slot) {
   if (!client_pause_) {
     return;
   }
-  if (st.tokens >= 0 || st.rate <= 0.0) {
+  const TimeNs tokens = queues_[slot].tokens;  // Charge() just synced it.
+  const ClientState& st = clients_[slot];
+  if (tokens >= 0 || st.rate <= 0.0) {
     return;
   }
   // Pause the client until its bucket is projected to refill to zero.
-  const TimeNs debt = -st.tokens;
+  const TimeNs debt = -tokens;
   const TimeNs pause = static_cast<TimeNs>(static_cast<double>(debt) / st.rate);
   client_pause_(st.id, sim_->Now() + pause);
 }
 
 TimeNs TimeBasedRegulator::tokens(NodeId client) const {
   const int32_t slot = SlotOf(client);
-  return slot < 0 ? 0 : clients_[static_cast<size_t>(slot)].tokens;
+  return slot < 0 ? 0 : TokensNow(queues_[static_cast<size_t>(slot)]);
 }
 
 double TimeBasedRegulator::rate(NodeId client) const {

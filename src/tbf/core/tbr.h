@@ -5,7 +5,11 @@
 // microseconds-of-channel-time (nanoseconds here):
 //
 //   ASSOCIATEEVENT  -> OnAssociate()      creates queue_i, tokens_i, rate_i
-//   FILLEVENT       -> FillEvent()        tokens_i += dt * rate_i   (capped at bucket_i)
+//   FILLEVENT       -> FillEvent()        tokens_i += dt * rate_i   (capped at bucket_i),
+//                                         folded in lazily: the tick only counts, and a
+//                                         client catches up on the ticks it missed when
+//                                         touched; a wake heap names the tick at which
+//                                         each backlogged, indebted client turns eligible
 //   APPTXEVENT      -> Enqueue()          append packet to queue_i
 //   MACTXEVENT      -> Dequeue()          round-robin over queues with tokens_i > 0
 //   COMPLETEEVENT   -> OnTxComplete() /   tokens_i -= occupancy(p), actual_i += occupancy(p)
@@ -25,6 +29,8 @@
 #ifndef TBF_CORE_TBR_H_
 #define TBF_CORE_TBR_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -154,9 +160,18 @@ class TimeBasedRegulator : public ap::Qdisc {
   TimeNs EstimateOccupancy(int mac_frame_bytes, phy::WifiRate rate, int attempts) const;
 
  private:
+  // Per-packet state: what MACTXEVENT, COMPLETEEVENT and FILLEVENT touch. It lives
+  // apart from the rate state, so the dequeue scan and the per-association rate pass
+  // each stride over the fields they read and no more.
+  struct ClientQueue {
+    net::PacketFifo packets;  // Intrusive FIFO of pooled packets.
+    TimeNs tokens = 0;        // As of fill tick `synced`; TokensNow() folds in the rest.
+    int64_t synced = 0;       // Fill ticks already folded into `tokens`.
+    TimeNs fill = 0;          // Tokens one fill tick adds: rate * fill_period.
+    int32_t wake_pos = -1;    // Index in wake_, or -1 when not waiting there.
+  };
+  // Rate state: what ADJUSTRATEEVENT and the demand event touch.
   struct ClientState {
-    net::PacketFifo queue;  // Intrusive FIFO of pooled packets.
-    TimeNs tokens = 0;
     double rate = 0.0;   // Fraction of channel time per unit time.
     double weight = 1.0;
     TimeNs actual = 0;            // Occupancy charged since the last ADJUSTRATEEVENT.
@@ -164,14 +179,57 @@ class TimeBasedRegulator : public ap::Qdisc {
     NodeId id = kInvalidNodeId;
   };
 
+  // A backlogged client with tokens <= 0 that the fill will lift above zero, keyed by
+  // the fill tick at which its bucket turns positive.
+  struct Wake {
+    int64_t tick;
+    int32_t slot;
+  };
+
   void FillEvent();
   void AdjustRateEvent();
   void DemandEvent();
   void RecomputeFairRates();
-  ClientState& GetOrAssociate(NodeId client);
+  // Returns the client's slot, associating it on first sight.
+  size_t GetOrAssociate(NodeId client);
   void Charge(NodeId client, TimeNs occupancy);
-  void MaybePauseClient(const ClientState& st);
-  bool Eligible(const ClientState& st) const { return !st.queue.empty() && st.tokens > 0; }
+  void MaybePauseClient(size_t slot);
+  bool DemandActive(size_t slot) const;
+
+  // Lazy fill. Every tick adds the same fill >= 0 (rates are never negative) and
+  // clamps at bucket_depth, so k missed ticks are exactly one add of k * fill, clamped.
+  TimeNs TokensNow(const ClientQueue& q) const {
+    const int64_t missed = ticks_ - q.synced;
+    return missed > 0 ? std::min(config_.bucket_depth, q.tokens + missed * q.fill)
+                      : q.tokens;
+  }
+  void Sync(ClientQueue& q) {
+    if (q.synced != ticks_) {
+      q.tokens = TokensNow(q);
+      q.synced = ticks_;
+    }
+  }
+  // After rates change: syncs every client at its old fill, derives its new fill and
+  // rebuilds the wake heap, in one pass at the next tick (see refill_due_).
+  void Refill();
+
+  // Wake heap upkeep. Rewake() re-keys a synced client after its tokens or queue
+  // changed: in the heap exactly while it is backlogged and waiting for the fill.
+  bool Waits(const ClientQueue& q) const {
+    return !q.packets.empty() && q.tokens <= 0 && q.fill > 0;
+  }
+  int64_t WakeTick(const ClientQueue& q) const {
+    return ticks_ + (-q.tokens) / q.fill + 1;
+  }
+  void Rewake(size_t slot);
+  void WakeErase(size_t pos);
+  void WakeSiftUp(size_t pos);
+  void WakeSiftDown(size_t pos);
+  void WakePlace(size_t pos, Wake wake) {
+    wake_[pos] = wake;
+    queues_[static_cast<size_t>(wake.slot)].wake_pos = static_cast<int32_t>(pos);
+  }
+
   // Dense slot lookup (clients never disassociate); -1 when the client is unknown.
   int32_t SlotOf(NodeId client) const {
     return client >= 0 && static_cast<size_t>(client) < slot_of_.size()
@@ -188,16 +246,24 @@ class TimeBasedRegulator : public ap::Qdisc {
   // Client state packed in association order (which is the round-robin order), indexed
   // through slot_of_: the per-frame Dequeue()/HasEligible() walks are linear scans over
   // contiguous state, and per-completion Charge() is one indexed load - no tree walk
-  // anywhere on the per-packet path.
+  // anywhere on the per-packet path. queues_[i] and clients_[i] are one client.
+  std::vector<ClientQueue> queues_;
   std::vector<ClientState> clients_;
-  std::vector<int32_t> slot_of_;  // NodeId -> clients_ slot; -1 = not associated.
+  std::vector<int32_t> slot_of_;  // NodeId -> slot; -1 = not associated.
   // ADJUSTRATEEVENT classification scratch, reused so the 500 ms timer allocates
   // nothing once warm.
   std::vector<ClientState*> adjust_under_;
   std::vector<ClientState*> adjust_full_;
+  // Min-heap of waiting clients by wake tick; FILLEVENT pops the clients it lifts
+  // above zero, so a tick costs O(1 + clients that turn eligible).
+  std::vector<Wake> wake_;
   size_t next_ = 0;
   double total_weight_ = 0.0;  // Cached sum of weights (invariant: > 0 once non-empty).
-  TimeNs last_fill_ = 0;
+  int64_t ticks_ = 0;          // FILLEVENTs fired so far.
+  // Rates moved since fills were last derived. Fills only matter from the next tick
+  // on, so every rate change just sets this and that tick's Refill() catches up; the
+  // wake heap is stale until then.
+  bool refill_due_ = false;
   bool timers_started_ = false;
   // True once an adjust/demand event has moved any rate off the static fair split.
   // While false, (re)association keeps the exact legacy RecomputeFairRates() values;

@@ -815,11 +815,22 @@ TEST(CampaignStressTest, FaultRiddenCampaignMergesByteIdenticalToSerial) {
     wc.faults.truncate = 0.08;
     return wc;
   };
+  // One fault of one kind, on the adversary's first job, so every failure mode fires
+  // in every run: the random workers alone can draw hangs and no crash.
+  auto adversary = [&](const char* name, double FaultPlan::*fault) {
+    WorkerConfig wc = HonestWorker(config.socket_path, name);
+    wc.faults.*fault = 1.0;
+    wc.faults.max_faults = 1;
+    return wc;
+  };
 
   CoordinatorStats stats;
   const std::string archive =
       RunCampaign(manifest, config,
                   {faulty("f1", 101), faulty("f2", 202),
+                   adversary("crash", &FaultPlan::crash),
+                   adversary("hang", &FaultPlan::hang),
+                   adversary("corrupt", &FaultPlan::corrupt),
                    HonestWorker(config.socket_path, "honest")},
                   &stats);
   EXPECT_EQ(archive, RunSerialArchive(manifest));

@@ -1,9 +1,16 @@
 // Unit tests for the Time-based Regulator against a bare simulator (no MAC underneath):
-// token bookkeeping, eligibility gating, fill/adjust events, the occupancy estimator, and
-// the client-agent hook.
+// token bookkeeping, eligibility gating, fill/adjust events, the occupancy estimator, the
+// client-agent hook, and a differential check of the lazy fill against the paper's eager
+// per-tick FILLEVENT.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "tbf/core/tbr.h"
+#include "tbf/sim/random.h"
 
 namespace tbf::core {
 namespace {
@@ -389,6 +396,347 @@ TEST_F(TbrTest, ClientAgentPausesIndebtedClient) {
   }
   EXPECT_EQ(paused_client, 1);
   EXPECT_GT(paused_until, sim_.Now());
+}
+
+// The paper's FILLEVENT run eagerly beside the regulator: every tick adds
+// rate_i * fill_period to every client's bucket and clamps it at bucket_depth. It
+// mirrors the tokens and queue lengths of the same op stream, and takes the rates from
+// the regulator, whose rate logic is not what this checks.
+class EagerFillReference {
+ public:
+  explicit EagerFillReference(const TbrConfig& config) : config_(config) {}
+
+  void Associate(NodeId client) {
+    if (Known(client)) {
+      return;
+    }
+    const auto i = static_cast<size_t>(client);
+    if (i >= tokens_.size()) {
+      tokens_.resize(i + 1, 0);
+      queued_.resize(i + 1, -1);
+    }
+    tokens_[i] = config_.initial_tokens;
+    queued_[i] = 0;
+    clients_.push_back(client);
+  }
+  bool Known(NodeId client) const {
+    return static_cast<size_t>(client) < queued_.size() &&
+           queued_[static_cast<size_t>(client)] >= 0;
+  }
+  void Charge(NodeId client, TimeNs occupancy) {
+    tokens_[static_cast<size_t>(client)] -= occupancy;
+  }
+  void Enqueued(NodeId client) { ++queued_[static_cast<size_t>(client)]; }
+  void Dequeued(NodeId client) { --queued_[static_cast<size_t>(client)]; }
+
+  bool Eligible(NodeId client) const {
+    const auto i = static_cast<size_t>(client);
+    return queued_[i] > 0 && tokens_[i] > 0;
+  }
+  // What Dequeue() may serve: a positive-credit client, else (fallback) any backlog.
+  bool AnyServable() const {
+    for (const NodeId c : clients_) {
+      if (Eligible(c) ||
+          (config_.work_conserving_fallback && queued_[static_cast<size_t>(c)] > 0)) {
+        return true;
+      }
+    }
+    return false;
+  }
+  bool AnyEligible() const {
+    return std::any_of(clients_.begin(), clients_.end(),
+                       [this](NodeId c) { return Eligible(c); });
+  }
+
+  // One FILLEVENT at the regulator's current rates. Returns whether a backlogged
+  // client crossed above zero, which is when the regulator must NotifyBacklog().
+  bool Tick(const TimeBasedRegulator& tbr) {
+    bool crossed = false;
+    for (const NodeId c : clients_) {
+      const auto i = static_cast<size_t>(c);
+      const bool was = Eligible(c);
+      const auto fill =
+          static_cast<TimeNs>(tbr.rate(c) * static_cast<double>(config_.fill_period));
+      tokens_[i] = std::min(tokens_[i] + fill, config_.bucket_depth);
+      crossed = crossed || (!was && Eligible(c));
+    }
+    return crossed;
+  }
+
+  // Empty when the regulator's tokens match for every client, else the first mismatch.
+  std::string Mismatch(const TimeBasedRegulator& tbr) const {
+    for (const NodeId c : clients_) {
+      const TimeNs want = tokens_[static_cast<size_t>(c)];
+      if (tbr.tokens(c) != want) {
+        std::ostringstream out;
+        out << "client " << c << ": lazy " << tbr.tokens(c) << " ns, eager " << want
+            << " ns";
+        return out.str();
+      }
+    }
+    return "";
+  }
+
+  TimeNs tokens(NodeId client) const { return tokens_[static_cast<size_t>(client)]; }
+  const std::vector<NodeId>& clients() const { return clients_; }
+
+ private:
+  TbrConfig config_;
+  std::vector<TimeNs> tokens_;  // By NodeId.
+  std::vector<int> queued_;     // By NodeId; -1 = not associated.
+  std::vector<NodeId> clients_;
+};
+
+// One regulator beside the eager reference, on a simulator of its own. Every op goes to
+// both, and Tick() advances one fill period: tokens must match after every op batch and
+// every tick, and NotifyBacklog() must fire at exactly the eager loop's instants.
+class LazyFillHarness {
+ public:
+  explicit LazyFillHarness(const TbrConfig& config)
+      : config_(config),
+        tbr_(&sim_, phy::MixedModeTimings(), config, /*per_queue_limit=*/6),
+        ref_(config) {
+    tbr_.SetBacklogCallback([this] { lazy_notified_.push_back(sim_.Now()); });
+    tbr_.SetClientPauseFn([](NodeId, TimeNs) {});
+  }
+  LazyFillHarness(const LazyFillHarness&) = delete;
+  LazyFillHarness& operator=(const LazyFillHarness&) = delete;
+
+  void Associate(NodeId client) {
+    ref_.Associate(client);
+    tbr_.OnAssociate(client);
+  }
+  // Like the regulator, associates a client it has not seen.
+  void Enqueue(NodeId client) {
+    ref_.Associate(client);
+    if (tbr_.Enqueue(MakePacket(client))) {
+      ref_.Enqueued(client);
+    }
+  }
+  // Serves one packet, which must be one the reference allows.
+  net::PacketPtr Dequeue() {
+    EXPECT_EQ(tbr_.HasEligible(), ref_.AnyServable());
+    net::PacketPtr p = tbr_.Dequeue();
+    EXPECT_EQ(p != nullptr, ref_.AnyServable());
+    if (p != nullptr) {
+      const NodeId c = p->wlan_client;
+      EXPECT_TRUE(ref_.Eligible(c) ||
+                  (config_.work_conserving_fallback && !ref_.AnyEligible()))
+          << "served client " << c;
+      ref_.Dequeued(c);
+    }
+    return p;
+  }
+  void ChargeDownlink(net::PacketPtr p, phy::WifiRate rate, int attempts) {
+    const NodeId c = p->wlan_client;
+    Charge(c, [&] {
+      tbr_.OnTxComplete(mac::MakeDataFrame(kApId, c, std::move(p), rate), attempts < 4,
+                        attempts, Ms(attempts));
+    });
+  }
+  void ChargeUplink(const mac::ExchangeRecord& record) {
+    Charge(record.owner, [&] { tbr_.OnUplinkObserved(record); });
+  }
+  void SetWeight(NodeId client, double weight) { tbr_.SetWeight(client, weight); }
+
+  // Checks the op batch, advances to the next fill tick, and checks again. Returns the
+  // first token mismatch, or "" when every client matches.
+  std::string Tick() {
+    std::string mismatch = ref_.Mismatch(tbr_);
+    if (!mismatch.empty()) {
+      return "before tick " + std::to_string(ticks_ + 1) + ": " + mismatch;
+    }
+    ++ticks_;
+    sim_.RunUntil(ticks_ * config_.fill_period);
+    if (ref_.Tick(tbr_)) {
+      eager_notified_.push_back(sim_.Now());
+    }
+    mismatch = ref_.Mismatch(tbr_);
+    return mismatch.empty() ? ""
+                            : "after tick " + std::to_string(ticks_) + ": " + mismatch;
+  }
+
+  const TimeBasedRegulator& tbr() const { return tbr_; }
+  const EagerFillReference& ref() const { return ref_; }
+  int64_t ticks() const { return ticks_; }
+  const std::vector<TimeNs>& lazy_notified() const { return lazy_notified_; }
+  const std::vector<TimeNs>& eager_notified() const { return eager_notified_; }
+
+ private:
+  // The charge is read back from actual_usage(): what is billed is not under test.
+  template <typename Deliver>
+  void Charge(NodeId client, Deliver deliver) {
+    const TimeNs before = tbr_.actual_usage(client);
+    deliver();
+    ref_.Charge(client, tbr_.actual_usage(client) - before);
+  }
+
+  TbrConfig config_;
+  sim::Simulator sim_;
+  TimeBasedRegulator tbr_;
+  EagerFillReference ref_;
+  int64_t ticks_ = 0;
+  std::vector<TimeNs> lazy_notified_;
+  std::vector<TimeNs> eager_notified_;
+};
+
+mac::ExchangeRecord UplinkRecord(NodeId owner, int frame_bytes, phy::WifiRate rate) {
+  mac::ExchangeRecord record;
+  record.owner = owner;
+  record.tx = owner;
+  record.rx = kApId;
+  record.frame_bytes = frame_bytes;
+  record.rate = rate;
+  record.success = true;
+  return record;
+}
+
+// A seeded random op stream through the harness: enqueues, dequeues with downlink
+// charges, uplink charges, re-weighting and late association, in batches between fill
+// ticks. Adds the number of ticks that notified to `*notified`.
+void ExpectLazyFillMatchesEager(const TbrConfig& config, uint64_t seed,
+                                size_t* notified) {
+  SCOPED_TRACE("seed " + std::to_string(seed));
+  constexpr NodeId kInitialClients = 6;
+  constexpr NodeId kMaxClients = 12;
+  constexpr int64_t kTicks = 3000;
+  static constexpr phy::WifiRate kRates[] = {phy::WifiRate::k1Mbps, phy::WifiRate::k2Mbps,
+                                             phy::WifiRate::k5_5Mbps,
+                                             phy::WifiRate::k11Mbps};
+  sim::Rng rng(seed);
+  LazyFillHarness h(config);
+  for (NodeId c = 1; c <= kInitialClients; ++c) {
+    h.Associate(c);
+  }
+  NodeId last_client = kInitialClients;
+  auto any = [&] {
+    const auto n = static_cast<int64_t>(h.ref().clients().size());
+    return h.ref().clients()[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+  };
+  // Clients 1-4 carry most downlink traffic; 5 and up see little, so the adjusters
+  // find donors whenever the load leaves headroom.
+  auto pick = [&] {
+    return rng.Bernoulli(0.85) ? static_cast<NodeId>(rng.UniformInt(1, 4)) : any();
+  };
+  auto rate = [&] { return kRates[rng.UniformInt(0, 3)]; };
+
+  int64_t load = 2;
+  for (int64_t tick = 1; tick <= kTicks; ++tick) {
+    if (tick % 250 == 1) {
+      load = rng.UniformInt(0, 6);  // Phases of light and heavy load.
+    }
+    const int64_t ops = rng.UniformInt(0, load);
+    for (int64_t op = 0; op < ops; ++op) {
+      const int64_t kind = rng.UniformInt(0, 99);
+      if (kind < 45) {
+        h.Enqueue(pick());
+      } else if (kind < 80) {
+        net::PacketPtr p = h.Dequeue();
+        if (p != nullptr && rng.Bernoulli(0.9)) {
+          const phy::WifiRate r = rate();
+          h.ChargeDownlink(std::move(p), r, static_cast<int>(rng.UniformInt(1, 4)));
+        }
+      } else if (kind < 92) {
+        // Mostly one uplink frame; now and then a long burst.
+        const NodeId owner = any();
+        const int64_t frames = rng.Bernoulli(0.05) ? rng.UniformInt(10, 60) : 1;
+        for (int64_t f = 0; f < frames; ++f) {
+          const auto bytes = static_cast<int>(rng.UniformInt(80, 1536));
+          mac::ExchangeRecord record = UplinkRecord(owner, bytes, rate());
+          record.collision = rng.Bernoulli(0.1);
+          record.data_lost = rng.Bernoulli(0.1);
+          record.success = !record.collision && !record.data_lost;
+          record.airtime = Us(rng.UniformInt(200, 6000));
+          h.ChargeUplink(record);
+        }
+      } else if (kind < 96) {
+        const NodeId c = pick();
+        h.SetWeight(c, 0.5 + 0.5 * static_cast<double>(rng.UniformInt(0, 5)));
+      } else if (last_client < kMaxClients) {
+        // Late association, half through an explicit join, half through a packet.
+        const NodeId c = ++last_client;
+        if (rng.Bernoulli(0.5)) {
+          h.Associate(c);
+        } else {
+          h.Enqueue(c);
+        }
+      }
+    }
+    ASSERT_EQ(h.Tick(), "");
+  }
+  EXPECT_EQ(h.lazy_notified(), h.eager_notified());
+  *notified += h.eager_notified().size();
+}
+
+void ExpectLazyFillMatchesEagerOverSeeds(const TbrConfig& config) {
+  size_t notified = 0;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ExpectLazyFillMatchesEager(config, seed, &notified);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_GT(notified, 20u);  // The streams do exercise the wake heap.
+}
+
+// TbrTest's fixture is unused here: each seed runs on a fresh simulator.
+TEST_F(TbrTest, LazyFillMatchesEagerStock) { ExpectLazyFillMatchesEagerOverSeeds({}); }
+
+TEST_F(TbrTest, LazyFillMatchesEagerFastEwma) {
+  TbrConfig config;
+  config.mode = TbrMode::kFastEwma;
+  ExpectLazyFillMatchesEagerOverSeeds(config);
+}
+
+TEST_F(TbrTest, LazyFillMatchesEagerWorkConservingFallback) {
+  TbrConfig config;
+  config.work_conserving_fallback = true;
+  ExpectLazyFillMatchesEagerOverSeeds(config);
+}
+
+TEST_F(TbrTest, LazyFillMatchesEagerShallowBucketFastTicks) {
+  // A bucket shallower than the initial tokens, a 1 ms tick, and a 40 ms adjuster.
+  TbrConfig config;
+  config.bucket_depth = Ms(3);
+  config.fill_period = Ms(1);
+  config.adjust_period = Ms(40);
+  ExpectLazyFillMatchesEagerOverSeeds(config);
+}
+
+TEST_F(TbrTest, LazyFillMatchesEagerRetryInfoClientAgent) {
+  TbrConfig config;
+  config.use_retry_info = true;
+  config.client_agent = true;
+  ExpectLazyFillMatchesEagerOverSeeds(config);
+}
+
+TEST_F(TbrTest, DemandEventSeesDebtTheFillRepaidUnseen) {
+  // Fast-EWMA counts a client in token debt as active. Client 2 runs up ~0.8 s of debt
+  // in one uplink burst and is never touched again; client 1 stays backlogged. The
+  // fill repays client 2 about 1.5 s in, long after its usage has decayed, and the
+  // first demand event after that must see the debt repaid although nothing has
+  // folded the latest ticks into client 2's bucket: it parks the client at min_rate.
+  TbrConfig config;
+  config.mode = TbrMode::kFastEwma;
+  LazyFillHarness h(config);
+  h.Associate(1);
+  h.Associate(2);
+  h.Enqueue(1);  // Never served.
+  for (int i = 0; i < 60; ++i) {
+    h.ChargeUplink(UplinkRecord(2, 1536, phy::WifiRate::k1Mbps));
+  }
+  ASSERT_LT(h.ref().tokens(2), -Ms(700));
+  while (h.ref().tokens(2) <= 0) {
+    ASSERT_EQ(h.Tick(), "");
+    ASSERT_LT(h.ticks(), 2000);
+  }
+  ASSERT_GT(h.ticks(), 600);  // Repaid after the usage decayed below the threshold.
+  const int64_t ticks_per_demand = config.demand_period / config.fill_period;
+  while (h.ticks() % ticks_per_demand != 0) {
+    ASSERT_EQ(h.Tick(), "");
+  }
+  EXPECT_DOUBLE_EQ(h.tbr().rate(2), config.min_rate);
+  EXPECT_DOUBLE_EQ(h.tbr().rate(1), 1.0 - config.min_rate);
 }
 
 }  // namespace
