@@ -242,6 +242,136 @@ TEST(ShardCampusTest, UdpTaskBytesConserved) {
   EXPECT_EQ(results.cells[0].flows[0].task_completions.size(), 1u);
 }
 
+// The station and TBR knobs a campus cell reads, each one switchable so a test can
+// show it acts: ARF over the SNR model, fixed PER, a short host queue, the client
+// agent and retry-informed charging.
+struct CellKnobs {
+  bool arf = true;
+  double snr_db = 12.0;  // At 12 dB most 11 Mbps frames fail; 5.5 Mbps gets through.
+  double per = 0.3;
+  size_t queue_limit = 3;  // Below TCP's 44-segment window, so the host queue drops.
+  bool client_agent = true;
+  bool use_retry_info = true;
+};
+
+StationSpec KnobStation(NodeId id, phy::WifiRate rate) {
+  StationSpec station;
+  station.id = id;
+  station.rate = rate;
+  return station;
+}
+
+FlowSpec KnobFlow(NodeId client, Direction dir, Transport transport) {
+  FlowSpec flow;
+  flow.client = client;
+  flow.direction = dir;
+  flow.transport = transport;
+  flow.udp_rate = Mbps(9);
+  return flow;
+}
+
+// Three cells, so four threads give every shard its own slice:
+//  0: three 9 Mbit/s UDP uplinks, one on the 1 Mbps rung (the client agent's case);
+//  1: TCP both ways - ARF over SNR downlink (1), PER uplink (2), short-queue uplink
+//     (3), a clean downlink (4);
+//  2: ARF over SNR uplink plus a PER station's bulk UDP uplink.
+CampusResults RunKnobCampus(int threads, QdiscKind qdisc, const CellKnobs& knobs) {
+  CampusConfig config = SmallCampusConfig(qdisc);
+  config.cell.duration = Sec(2);
+  config.cell.tbr.client_agent = knobs.client_agent;
+  config.cell.tbr.use_retry_info = knobs.use_retry_info;
+  CampusSim campus(config, threads);
+
+  BssSpec agent;
+  for (NodeId id = 1; id <= 3; ++id) {
+    agent.stations.push_back(
+        KnobStation(id, id == 3 ? phy::WifiRate::k1Mbps : phy::WifiRate::k11Mbps));
+    agent.flows.push_back(KnobFlow(id, Direction::kUplink, Transport::kUdp));
+  }
+  campus.AddBss(agent);
+
+  BssSpec lossy;
+  StationSpec adaptive = KnobStation(1, phy::WifiRate::k11Mbps);
+  adaptive.arf = knobs.arf;
+  adaptive.snr_db = knobs.snr_db;
+  StationSpec per = KnobStation(2, phy::WifiRate::k11Mbps);
+  per.per = knobs.per;
+  StationSpec short_queue = KnobStation(3, phy::WifiRate::k11Mbps);
+  short_queue.queue_limit = knobs.queue_limit;
+  lossy.stations = {adaptive, per, short_queue, KnobStation(4, phy::WifiRate::k11Mbps)};
+  lossy.flows = {KnobFlow(1, Direction::kDownlink, Transport::kTcp),
+                 KnobFlow(2, Direction::kUplink, Transport::kTcp),
+                 KnobFlow(3, Direction::kUplink, Transport::kTcp),
+                 KnobFlow(4, Direction::kDownlink, Transport::kTcp)};
+  campus.AddBss(lossy);
+
+  BssSpec mixed;
+  StationSpec adaptive_up = KnobStation(1, phy::WifiRate::k11Mbps);
+  adaptive_up.arf = knobs.arf;
+  adaptive_up.snr_db = knobs.snr_db;
+  StationSpec per_udp = KnobStation(2, phy::WifiRate::k5_5Mbps);
+  per_udp.per = knobs.per;
+  mixed.stations = {adaptive_up, per_udp};
+  mixed.flows = {KnobFlow(1, Direction::kUplink, Transport::kTcp),
+                 KnobFlow(2, Direction::kUplink, Transport::kUdp)};
+  campus.AddBss(mixed);
+  return campus.Run();
+}
+
+TEST(ShardCampusTest, StationAndTbrKnobsBitIdenticalAndActive) {
+  // Every station and TBR knob a campus cell reads, under TBR and under the OAR-style
+  // burst baseline (which reads the AP's per-client rate): the readout must match bit
+  // for bit across shard-thread counts, and switching each knob off must show it was
+  // doing something.
+  const CellKnobs on;
+  for (const QdiscKind qdisc : {QdiscKind::kTbr, QdiscKind::kOarBurst}) {
+    const CampusResults serial = RunKnobCampus(1, qdisc, on);
+    for (const int threads : {2, 3, 4}) {
+      EXPECT_EQ(RunKnobCampus(threads, qdisc, on), serial)
+          << threads << " threads, qdisc " << static_cast<int>(qdisc);
+    }
+  }
+  const CampusResults tbr = RunKnobCampus(1, QdiscKind::kTbr, on);
+  const scenario::Results& lossy = tbr.cells[1];
+
+  // ARF over SNR: from 11 Mbps the AP's downlink to station 1 (cell 1) and station 1's
+  // own uplink (cell 2) step down to a rung that gets through; pinned at 11 Mbps they
+  // crawl, and without the SNR model they would not lose anything at all.
+  CellKnobs pinned = on;
+  pinned.arf = false;
+  const CampusResults no_arf = RunKnobCampus(1, QdiscKind::kTbr, pinned);
+  EXPECT_GT(lossy.goodput_bps.at(1), 2 * no_arf.cells[1].goodput_bps.at(1));
+  EXPECT_GT(tbr.cells[2].goodput_bps.at(1), 2 * no_arf.cells[2].goodput_bps.at(1));
+  CellKnobs no_snr = on;
+  no_snr.snr_db = 0.0;
+  const CampusResults clear = RunKnobCampus(1, QdiscKind::kTbr, no_snr);
+  EXPECT_LT(lossy.goodput_bps.at(1), 0.7 * clear.cells[1].goodput_bps.at(1));
+
+  // Fixed PER costs the lossy stations goodput.
+  CellKnobs clean = on;
+  clean.per = 0.0;
+  const CampusResults no_per = RunKnobCampus(1, QdiscKind::kTbr, clean);
+  EXPECT_LT(lossy.goodput_bps.at(2), no_per.cells[1].goodput_bps.at(2));
+  EXPECT_LT(tbr.cells[2].goodput_bps.at(2), no_per.cells[2].goodput_bps.at(2));
+
+  // The short host queue drops TCP segments the default queue would hold.
+  CellKnobs deep = on;
+  deep.queue_limit = 50;
+  const CampusResults deep_queue = RunKnobCampus(1, QdiscKind::kTbr, deep);
+  EXPECT_GT(lossy.flows[2].retransmits, deep_queue.cells[1].flows[2].retransmits);
+
+  // The client agent pauses the 1 Mbps UDP uplink, which lifts its cell's aggregate.
+  CellKnobs no_agent = on;
+  no_agent.client_agent = false;
+  const CampusResults unpaused = RunKnobCampus(1, QdiscKind::kTbr, no_agent);
+  EXPECT_GT(tbr.cells[0].aggregate_bps, 1.5 * unpaused.cells[0].aggregate_bps);
+
+  // Retry-informed charging changes what TBR charges the lossy stations.
+  CellKnobs no_retry = on;
+  no_retry.use_retry_info = false;
+  EXPECT_NE(RunKnobCampus(1, QdiscKind::kTbr, no_retry).cells[1], lossy);
+}
+
 TEST(ShardMailboxTest, RecordsRoundTripAllTransportFields) {
   net::PacketPool pool;
   net::PacketPtr p = pool.Allocate();
