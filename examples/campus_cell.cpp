@@ -54,12 +54,14 @@ scenario::CampusResults RunBuilding(scenario::QdiscKind qdisc) {
     building.AddBss(MakeQuadrant());
   }
   const scenario::CampusResults results = building.Run();
-  std::printf("%-14s %d cells, %d shards on %d threads, %lld lookahead windows, "
+  const char* name = qdisc == scenario::QdiscKind::kTbr ? "Exp-TBR(TF):" : "Exp-Normal(RF):";
+  std::printf("%-14s %d cells, %d shards, %lld lookahead windows, "
               "%lld packets crossed shards\n",
-              qdisc == scenario::QdiscKind::kTbr ? "Exp-TBR(TF):" : "Exp-Normal(RF):",
-              kAps, building.shard_count(), building.thread_count(),
-              static_cast<long long>(results.windows),
+              name, kAps, building.shard_count(), static_cast<long long>(results.windows),
               static_cast<long long>(results.cross_shard_packets));
+  // The thread count is the only line that depends on TBF_SHARD_THREADS.
+  std::printf("[wall] %s %d shards on %d threads\n", name, building.shard_count(),
+              building.thread_count());
   return results;
 }
 

@@ -3,8 +3,9 @@
 # wall-clock lines ([sweep] and [wall] carry wall time, thread counts and memory), and
 # diffs what is left against the committed golden in bench/golden/.
 #
-# Thread counts never change results (CI diffs the race benches across pool sizes), but
-# example_campus_cell prints its shard-thread count, so both pools are pinned here.
+# Thread counts never change results (CI diffs the race benches and the campus binaries
+# across pool sizes), and every line that names one is a [wall] line. The pools are
+# still pinned here so a golden run does the same work on any host.
 #
 # Usage: tools/golden_check.sh <binary> <golden-file>            # diff, exit 1 on change
 #        tools/golden_check.sh --update <binary> <golden-file>   # rewrite the golden
