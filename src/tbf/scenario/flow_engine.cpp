@@ -36,7 +36,7 @@ void FlowEngine::OnDelivered(int64_t bytes) {
   // UDP tasks have no acks; they complete when the sink has delivered the task's
   // payload. (A datagram lost beyond the MAC's retries stalls the task - finite UDP
   // tasks are meant for configurations below the loss cliff.)
-  if (spec.transport == Transport::kUdp && HasTasks() && delivered_bytes >= task_target) {
+  if (HasTasks() && delivered_bytes >= task_target) {
     OnTaskComplete();
   }
 }
@@ -93,81 +93,85 @@ void FlowEngine::QueueNextTask(int64_t bytes, TimeNs delay) {
   }
 }
 
-void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
-                          const stats::StatsEngine& queue_meters, Results* results,
-                          double* sum_task_sec, int64_t* table1_tasks) {
-  static const stats::FlowStats kNoStats = stats::FlowStats();
-  const stats::FlowStats* fs = meters.flow(flow.flow_id);
-  const stats::FlowStats* qs = queue_meters.flow(flow.flow_id);
-  if (fs == nullptr) {
-    fs = &kNoStats;
-  }
-  if (qs == nullptr) {
-    qs = &kNoStats;
-  }
+std::unique_ptr<FlowEngine> StartFlow(const FlowSpec& spec, int flow_id,
+                                      const FlowSide& client, const FlowSide& server) {
+  const bool uplink = spec.direction == Direction::kUplink;
+  const bool tcp = spec.transport == Transport::kTcp;
+  const FlowSide& send = uplink ? client : server;
+  const FlowSide& recv = uplink ? server : client;
+  // The engine's side: the TCP sender's (a task completes on its final cumulative ack)
+  // or the UDP sink's (delivery is what completes a task).
+  const FlowSide& home = tcp ? send : recv;
 
-  FlowResult fr;
-  fr.flow_id = flow.flow_id;
-  fr.client = flow.spec.client;
-  fr.tcp = flow.spec.transport == Transport::kTcp;
-  fr.bytes_delivered = delivered_delta;
-  fr.goodput_bps = static_cast<double>(fr.bytes_delivered) * 8.0 / window_sec;
-  fr.exact = fs->retained && qs->retained;
-  // Task completions are reported relative to the flow's actual start (spec start +
-  // CBR stagger), so they do not shift with the stagger or the warmup boundary.
-  // The Table 1 aggregates use cumulative transfer durations - idle time (task_gap,
-  // think) excluded, matching the fluid model's gap-free schedule; they coincide with
-  // the completions for back-to-back sequences. On/off and trace-replay flows count
-  // toward tasks_completed but stay out of the aggregates entirely: their duration
-  // timelines embed think times / the capture's arrival structure (and, for replay,
-  // backlog wait), not a gap-free task schedule. Under sampled retention the task
-  // vectors (hence the Table 1 walk) exist only for retained flows; tasks_completed
-  // still counts every flow via the counted tier.
-  const bool table1_flow = flow.spec.model == TrafficModel::kBulk ||
-                           flow.spec.model == TrafficModel::kTaskSequence;
-  fr.task_completions.reserve(fs->task_completions.size());
-  TimeNs transfer_elapsed = 0;
-  for (size_t i = 0; i < fs->task_completions.size(); ++i) {
-    fr.task_completions.push_back(fs->task_completions[i] - flow.actual_start);
-    transfer_elapsed += fs->task_durations[i];
-    if (table1_flow) {
-      ++*table1_tasks;
-      *sum_task_sec += ToSeconds(transfer_elapsed);
-      results->final_task_time_sec =
-          std::max(results->final_task_time_sec, ToSeconds(transfer_elapsed));
+  auto rt = std::make_unique<FlowEngine>();
+  FlowEngine* engine = rt.get();
+  rt->spec = spec;
+  rt->flow_id = flow_id;
+  rt->sim = home.sim;
+  rt->rng = home.rng;
+  rt->stats = home.stats;
+  // A flow is registered wherever a side records for it: the engine's (task + RTT
+  // meters), the client's cell (the AP queue-delay tap always fires there) and the
+  // receiver's (delivered bytes). Registration is idempotent, so overlaps are fine.
+  home.stats->RegisterFlow(flow_id);
+  client.stats->RegisterFlow(flow_id);
+  recv.stats->RegisterFlow(flow_id);
+
+  net::FlowAddress addr;
+  addr.flow_id = flow_id;
+  addr.wlan_client = spec.client;
+  addr.sender = uplink ? spec.client : kServerId;
+  addr.receiver = uplink ? kServerId : spec.client;
+
+  const TimeNs flow_start = rt->InitFirstTask(spec.start);
+  const int64_t first_task = rt->task_target;
+
+  if (tcp) {
+    net::TcpConfig config;
+    config.mss = spec.packet_bytes - net::kIpTcpHeaderBytes;
+    // The receiver counts delivered bytes on its own side, which in a campus is the
+    // shard opposite the engine.
+    auto deliver = [engine, stats = recv.stats, sim = recv.sim, flow_id](int64_t bytes) {
+      engine->delivered_bytes += bytes;
+      stats->RecordBytes(flow_id, sim->Now(), bytes);
+    };
+    rt->tcp_sender =
+        std::make_unique<net::TcpSender>(send.sim, send.pool, config, addr, send.exit);
+    rt->tcp_receiver = std::make_unique<net::TcpReceiver>(recv.sim, recv.pool, config,
+                                                          addr, recv.exit, deliver);
+    if (first_task > 0) {
+      rt->tcp_sender->SetTaskBytes(first_task);
+      // TCP tasks complete when the final byte is cumulatively acked.
+      rt->tcp_sender->SetOnTaskComplete([engine] { engine->OnTaskComplete(); });
     }
-  }
-  results->tasks_completed += fs->tasks;
-  fr.task_durations = fs->task_durations;
-  if (fs->last_completion >= 0) {
-    fr.completion_time = fs->last_completion - flow.actual_start;
-  }
-  if (flow.tcp_sender != nullptr) {
-    fr.retransmits = flow.tcp_sender->retransmits();
-    fr.timeouts = flow.tcp_sender->timeouts();
-  }
-  // Counted-tier-only flows report their sample counts with zero percentiles
-  // (fr.exact == false tells the reader); the run-wide meters still carry their
-  // samples in every streaming mode.
-  if (fs->retained) {
-    fr.rtt = LatencySummary::FromSketch(fs->rtt_sketch);
-    fr.task_latency = LatencySummary::FromSketch(fs->task_latency_sketch);
+    if (spec.app_limit_bps > 0) {
+      rt->tcp_sender->SetAppLimitBps(spec.app_limit_bps);
+    }
+    rt->tcp_sender->SetRttSampleFn([engine](TimeNs sample) {
+      engine->stats->RecordRtt(engine->flow_id, engine->sim->Now(), sample);
+    });
+    send.demux->Register(addr.sender, flow_id, rt->tcp_sender.get());
+    recv.demux->Register(addr.receiver, flow_id, rt->tcp_receiver.get());
+    rt->actual_start = flow_start;
+    rt->tcp_sender->Start(rt->actual_start);
   } else {
-    fr.rtt.count = fs->rtt_count;
-    fr.task_latency.count = fs->tasks;
+    // The source packetizes finite tasks itself (ceiling division with a trimmed final
+    // datagram), so exactly first_task payload bytes hit the wire. A later task is
+    // queued from the sink's side, so a campus, where the source runs in the other
+    // shard, keeps UDP flows to one bulk task (ValidateCampus).
+    rt->udp_source = std::make_unique<net::UdpSource>(send.sim, send.pool, addr, send.exit,
+                                                      spec.udp_rate, spec.packet_bytes,
+                                                      first_task, send.rng);
+    rt->udp_sink =
+        std::make_unique<net::UdpSink>([engine](int64_t bytes) { engine->OnDelivered(bytes); });
+    recv.demux->Register(addr.receiver, flow_id, rt->udp_sink.get());
+    // Stagger CBR starts so synchronized sources do not phase-lock on shared queues;
+    // flow ids are campus-global, so a campus cell staggers like an equivalent Wlan.
+    rt->actual_start = flow_start + flow_id * Us(97);
+    rt->udp_source->Start(rt->actual_start);
   }
-  if (qs->retained) {
-    fr.queue_delay = LatencySummary::FromSketch(qs->queue_delay_sketch);
-  } else {
-    fr.queue_delay.count = qs->queue_count;
-  }
-  results->rtt_sketch.Merge(fs->rtt_sketch);
-  results->ap_queue_delay_sketch.Merge(qs->queue_delay_sketch);
-  results->task_latency_sketch.Merge(fs->task_latency_sketch);
-  results->goodput_bps[flow.spec.client] += fr.goodput_bps;
-  results->aggregate_bps += fr.goodput_bps;
-  results->flows.push_back(fr);
+  rt->task_started_at = rt->actual_start;  // The first task transfers from the start.
+  return rt;
 }
 
 }  // namespace tbf::scenario

@@ -2,24 +2,25 @@
 //
 // A FlowEngine is one constructed flow: the transport endpoints it owns and the
 // finite-task bookkeeping that restarts transfers (task sequences, on/off draws, trace
-// replays). Latency samples and delivered bytes are recorded through the owning shard's
+// replays). Latency samples and delivered bytes are recorded through a shard's
 // stats::StatsEngine (see docs/metrology.md), never stored here - the engine struct
-// stays O(1) per flow. Extracted from scenario::Wlan so multi-shard builders
-// (shard::CampusSim) drive the exact same task-chaining state machine: the engine always
-// lives in exactly one shard - the one whose Simulator fires its callbacks - so none of
-// its state needs synchronization. In a sharded campus the engine sits on the flow's
-// *initiating* side (TCP: the sender's shard, where task completion is observed via the
-// final cumulative ack; UDP: the sink's shard, where delivery is counted) and the far
-// endpoint is owned separately by the opposite shard.
+// stays O(1) per flow. StartFlow builds every flow, for scenario::Wlan and for
+// shard::CampusSim alike, between the flow's two FlowSides: the client end in its cell
+// and the server end (a wired host in the same Simulator, or the campus core shard).
+// The engine's own state lives on exactly one side - the one whose Simulator fires its
+// callbacks - so none of it needs synchronization: the TCP sender's side (task
+// completion is the final cumulative ack) or the UDP sink's side (delivery completes a
+// task).
 #ifndef TBF_SCENARIO_FLOW_ENGINE_H_
 #define TBF_SCENARIO_FLOW_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "tbf/net/demux.h"
 #include "tbf/net/tcp.h"
 #include "tbf/net/udp.h"
-#include "tbf/scenario/results.h"
 #include "tbf/scenario/wlan.h"
 #include "tbf/sim/random.h"
 #include "tbf/sim/simulator.h"
@@ -35,23 +36,19 @@ struct FlowEngine {
   // AvgTaskTime/FinalTaskTime independent of the stagger and of where the warmup ends.
   TimeNs actual_start = 0;
 
-  // The simulator, rng and stats engine of the shard this engine lives in (single-cell
-  // scenarios have exactly one of each). Set by the builder before any task runs; the
-  // flow must be registered with `stats` before its first sample.
+  // The simulator, rng and stats engine of the side this engine lives on (single-cell
+  // scenarios have exactly one of each). Set by StartFlow before any task runs.
   sim::Simulator* sim = nullptr;
   sim::Rng* rng = nullptr;
   stats::StatsEngine* stats = nullptr;
 
-  // Endpoints this engine's shard owns. In a single cell all of the flow's endpoints
-  // live here; in a sharded campus only the engine-side one is non-null and the far
-  // endpoint belongs to the opposite shard.
+  // Both endpoints of the flow (one pair is null, by transport). Each runs in its own
+  // side's Simulator and draws from that side's pool: in a sharded campus the server
+  // end runs in the core shard, so the core must outlive every flow.
   std::unique_ptr<net::TcpSender> tcp_sender;
   std::unique_ptr<net::TcpReceiver> tcp_receiver;
   std::unique_ptr<net::UdpSource> udp_source;
   std::unique_ptr<net::UdpSink> udp_sink;
-
-  int64_t delivered_bytes = 0;   // Total payload delivered (from flow start).
-  int64_t window_snapshot = 0;   // Delivered bytes at warmup.
 
   // Finite-task bookkeeping. `task_target` is the cumulative payload target of the
   // task in flight (grown per task so restarts share one sequence space); UDP tasks
@@ -65,6 +62,12 @@ struct FlowEngine {
   TimeNs next_task_due = -1;
   size_t replay_next = 1;                // kTraceReplay: index of the next logged task.
 
+  // Total payload delivered (from flow start), written only by the receiving end. For
+  // a campus TCP flow that end runs in the other shard from the engine, so the counter
+  // gets a cache line of its own; the coordinator reads it only at barriers.
+  alignas(64) int64_t delivered_bytes = 0;
+  int64_t window_snapshot = 0;  // Delivered bytes at warmup.
+
   bool HasTasks() const { return task_target > 0; }
 
   // Sizes the first transfer (drawing from `rng` for on/off flows) and returns the
@@ -73,7 +76,8 @@ struct FlowEngine {
   // and tasks_started.
   TimeNs InitFirstTask(TimeNs flow_start);
 
-  // Delivery-side accounting; UDP finite tasks complete here (no acks).
+  // The UDP sink's delivery accounting (the engine sits with the sink); finite UDP
+  // tasks complete here, having no acks.
   void OnDelivered(int64_t bytes);
 
   // Task chaining: records the task that just finished and, for sequence, on/off and
@@ -82,20 +86,27 @@ struct FlowEngine {
   void QueueNextTask(int64_t bytes, TimeNs delay);
 };
 
-// Folds one engine's measurement-window readout into `results`: the FlowResult, the
-// merged cell-wide sketches (retained flows only under sampled retention), per-client
-// goodput, and the Table 1 task aggregates accumulated via `sum_task_sec`/
-// `table1_tasks` (the caller divides at the end). `delivered_delta` is the payload
-// delivered inside the window - the caller supplies it because in a sharded campus the
-// receiver-side counter may live in the opposite shard from the engine. `meters` is
-// the stats engine of the shard the flow engine lives in (task + RTT meters);
-// `queue_meters` is the stats engine of the flow's *cell* shard, where the AP qdisc
-// tap always records - for downlink campus flows these differ. Single-cell callers
-// pass the same engine twice.
-void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
-                          const stats::StatsEngine& queue_meters, Results* results,
-                          double* sum_task_sec, int64_t* table1_tasks);
+// One end of a flow: the Simulator it runs in, the pool and Rng it draws from, the
+// stats engine it records into, the demux that hands it packets, and where the packets
+// it sends leave (a station's uplink queue, a wired host or a backbone link).
+struct FlowSide {
+  sim::Simulator* sim = nullptr;
+  net::PacketPool* pool = nullptr;
+  sim::Rng* rng = nullptr;
+  stats::StatsEngine* stats = nullptr;
+  net::Demux* demux = nullptr;
+  std::function<void(net::PacketPtr)> exit;
+};
+
+using FlowList = std::vector<std::unique_ptr<FlowEngine>>;
+
+// Builds flow `flow_id` from `spec` between its client and server ends and schedules
+// its start. The sender and receiver run on their sides (by direction); the engine
+// sits with the TCP sender or the UDP sink. A UDP source draws its jitter from its
+// sending side's Rng, on/off sizes and think times come from the engine side's. The
+// flow is registered with the engine's, the client's and the receiver's stats engines.
+std::unique_ptr<FlowEngine> StartFlow(const FlowSpec& spec, int flow_id,
+                                      const FlowSide& client, const FlowSide& server);
 
 }  // namespace tbf::scenario
 

@@ -2,9 +2,11 @@
 //
 // Describes a single-cell infrastructure WLAN - stations (rate, loss), flows (TCP/UDP,
 // direction, task size, app limit) and the AP queueing discipline - then builds the full
-// stack (medium, DCF stations, AP + qdisc, wired backbone, transports), runs it, and
-// returns per-node goodput, airtime shares and per-flow results measured after a warmup.
-// Every bench and example in this repository is a thin wrapper around this class.
+// stack (a scenario::CellStack plus a wired backbone and server, and the transports),
+// runs it, and returns per-node goodput, airtime shares and per-flow results measured
+// after a warmup. Every single-cell bench and example is a thin wrapper around this
+// class; the multi-AP campus ones use shard::CampusSim, which builds each of its cells
+// from the same CellStack.
 #ifndef TBF_SCENARIO_WLAN_H_
 #define TBF_SCENARIO_WLAN_H_
 
@@ -146,15 +148,8 @@ std::string ValidateScenario(const ScenarioConfig& config,
                              const std::vector<StationSpec>& stations,
                              const std::vector<FlowSpec>& flows);
 
-// Builds the AP transmit qdisc a config asks for. `rates` feeds the burst-sizing
-// baseline (kOarBurst); when the config selects TBR, `*tbr_out` receives the live
-// regulator for pre-run configuration (weights, client-agent wiring). Shared by the
-// single-cell builder and the sharded campus builder (one qdisc per BSS shard).
-std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulator* sim,
-                                     rateadapt::CompositeRateController* rates,
-                                     core::TimeBasedRegulator** tbr_out);
-
 struct FlowEngine;
+class CellStack;
 
 class Wlan {
  public:
@@ -188,14 +183,16 @@ class Wlan {
   // Builds the stack and runs warmup + duration. Returns measured results.
   Results Run();
 
-  // Post-run (or mid-run via callbacks) introspection.
-  core::TimeBasedRegulator* tbr() { return tbr_; }
-  mac::Medium* medium() { return medium_.get(); }
+  // Post-run (or mid-run via callbacks) introspection. tbr(), medium() and host()
+  // return null before the stack is built.
+  core::TimeBasedRegulator* tbr();
+  mac::Medium* medium();
   sim::Simulator& simulator() { return sim_; }
   net::PacketPool& packet_pool() { return packet_pool_; }
   net::WirelessHost* host(NodeId id);
-  // The run's metrology (complete after Run(); see docs/metrology.md).
-  const stats::StatsEngine& stats_engine() const { return stats_; }
+  // The run's metrology (complete after Run(); see docs/metrology.md). Empty before
+  // the stack is built.
+  const stats::StatsEngine& stats_engine() const;
 
  private:
   void Build();
@@ -210,20 +207,10 @@ class Wlan {
   // workers never share one (TBF_SWEEP_THREADS stays race-free and bit-identical).
   sim::Simulator sim_;
   net::PacketPool packet_pool_;
-  std::unique_ptr<sim::Rng> rng_;
-  std::unique_ptr<phy::FixedPerLink> fixed_loss_;
-  std::unique_ptr<phy::SnrLossModel> snr_loss_;
-  std::unique_ptr<phy::LossModel> loss_;  // Dispatches per client to the two above.
-  std::unique_ptr<mac::Medium> medium_;
-  std::unique_ptr<rateadapt::CompositeRateController> ap_rates_;
-  std::unique_ptr<ap::AccessPoint> ap_;
+  std::unique_ptr<CellStack> cell_;
   std::unique_ptr<net::WiredLink> wired_;
-  std::unique_ptr<net::Demux> demux_;
   std::unique_ptr<net::WiredHost> server_;
-  std::map<NodeId, std::unique_ptr<net::WirelessHost>> hosts_;
   std::vector<std::unique_ptr<FlowEngine>> flows_;
-  stats::StatsEngine stats_;  // Configured from config_.stats in Build().
-  core::TimeBasedRegulator* tbr_ = nullptr;
   bool built_ = false;
 };
 

@@ -1,8 +1,8 @@
 // Conservative multi-AP parallel simulation: one shard per BSS plus a wired core.
 //
 // CampusSim partitions a scenario::CampusConfig + BssSpec list into shards, each owning
-// its own Simulator, PacketPool, Rng and dense per-node state - a full single-cell
-// stack for every BSS, and one core shard holding the server side of every flow. The
+// its own Simulator, PacketPool, Rng and dense per-node state - a scenario::CellStack
+// for every BSS, and one core shard holding the server side of every flow. The
 // shards share no mutable state: all cross-shard traffic is flattened into value
 // records (shard/mailbox.h) by ShardLinks and re-materialized from the destination
 // shard's pool, so refcounts stay non-atomic and TSan sees only the window barrier.
@@ -64,12 +64,9 @@ class CampusSim {
  private:
   struct CellShard;
   struct CoreShard;
-  struct FlowState;
   class Pool;
 
   void Build();
-  void BuildCell(size_t index);
-  void BuildFlows();
   void RunWindows(TimeNs until);
   // Runs shard `index` (cells ascending, then the core) to `until`; returns the number
   // of events it fired.
@@ -85,9 +82,10 @@ class CampusSim {
   TimeNs lookahead_ = 0;
   int64_t windows_ = 0;
 
-  std::vector<std::unique_ptr<CellShard>> cells_;
+  // The core is declared first so it outlives the cells: each cell's flows own the
+  // server-side endpoints that run in the core's Simulator and pool.
   std::unique_ptr<CoreShard> core_;
-  std::vector<std::unique_ptr<FlowState>> flows_;
+  std::vector<std::unique_ptr<CellShard>> cells_;
   std::unique_ptr<Pool> pool_;
   // Root of the metrology merge tree: receives every shard's sealed windows at
   // barriers (coordinator thread only) and yields the campus-wide meters and series.
