@@ -14,10 +14,6 @@ AccessPoint::AccessPoint(sim::Simulator* sim, mac::Medium* medium,
   medium->AddObserver(this);
 }
 
-void AccessPoint::ConnectWired(net::WiredLink* link) {
-  SetUplinkForward([link](net::PacketPtr p) { link->SendTowardServer(std::move(p)); });
-}
-
 void AccessPoint::Associate(NodeId client) { qdisc_->OnAssociate(client); }
 
 void AccessPoint::EnqueueDownlink(net::PacketPtr packet) {

@@ -14,7 +14,6 @@
 #include "tbf/ap/qdisc.h"
 #include "tbf/mac/medium.h"
 #include "tbf/net/demux.h"
-#include "tbf/net/wired.h"
 #include "tbf/rateadapt/rate_controller.h"
 #include "tbf/sim/simulator.h"
 
@@ -34,12 +33,9 @@ class AccessPoint : public mac::FrameProvider, public mac::FrameSink, public mac
   AccessPoint(const AccessPoint&) = delete;
   AccessPoint& operator=(const AccessPoint&) = delete;
 
-  // Connects the wired backbone; uplink frames are forwarded toward the server side.
-  void ConnectWired(net::WiredLink* link);
-
-  // Generalized uplink port: frames addressed beyond the cell (dst >= kServerId) are
-  // handed to `fn` instead of a WiredLink. The sharded campus uses this to route uplink
-  // traffic into a shard::ShardLink whose far end lives in another shard's Simulator.
+  // The uplink port: frames addressed beyond the cell (dst >= kServerId) are handed to
+  // `fn` - a WiredLink toward the server in a single cell, a shard::ShardLink into the
+  // core shard's Simulator in the sharded campus.
   using ForwardFn = std::function<void(net::PacketPtr)>;
   void SetUplinkForward(ForwardFn fn) { uplink_forward_ = std::move(fn); }
 

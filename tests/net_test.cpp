@@ -205,7 +205,7 @@ TEST(WirelessHostTest, UplinkPacketReachesServerThroughAp) {
   rateadapt::FixedRateController ap_rates(phy::WifiRate::k11Mbps);
   ap::AccessPoint ap(&cell.sim, &cell.medium, std::make_unique<ap::FifoQdisc>(), &ap_rates);
   WiredLink link(&cell.sim, Mbps(100), Us(500));
-  ap.ConnectWired(&link);
+  ap.SetUplinkForward([&link](PacketPtr p) { link.SendTowardServer(std::move(p)); });
   WiredHost server(&cell.sim, kServerId, &cell.demux, &link);
 
   struct Capture : PacketHandler {
@@ -230,7 +230,7 @@ TEST(WirelessHostTest, DownlinkPacketReachesClientThroughAp) {
   rateadapt::FixedRateController ap_rates(phy::WifiRate::k11Mbps);
   ap::AccessPoint ap(&cell.sim, &cell.medium, std::make_unique<ap::FifoQdisc>(), &ap_rates);
   WiredLink link(&cell.sim, Mbps(100), Us(500));
-  ap.ConnectWired(&link);
+  ap.SetUplinkForward([&link](PacketPtr p) { link.SendTowardServer(std::move(p)); });
   link.SetTowardAp([&](PacketPtr p) { ap.EnqueueDownlink(std::move(p)); });
   WiredHost server(&cell.sim, kServerId, &cell.demux, &link);
 
@@ -267,7 +267,7 @@ TEST(WirelessHostTest, PauseDefersUplink) {
   rateadapt::FixedRateController ap_rates(phy::WifiRate::k11Mbps);
   ap::AccessPoint ap(&cell.sim, &cell.medium, std::make_unique<ap::FifoQdisc>(), &ap_rates);
   WiredLink link(&cell.sim, Mbps(100), Us(100));
-  ap.ConnectWired(&link);
+  ap.SetUplinkForward([&link](PacketPtr p) { link.SendTowardServer(std::move(p)); });
   WiredHost server(&cell.sim, kServerId, &cell.demux, &link);
 
   struct Capture : PacketHandler {
