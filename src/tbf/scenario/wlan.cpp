@@ -1,6 +1,8 @@
 #include "tbf/scenario/wlan.h"
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "tbf/scenario/cell_stack.h"
 #include "tbf/scenario/flow_engine.h"
@@ -91,6 +93,12 @@ std::string FlowTag(size_t index, const FlowSpec& spec) {
   return "flow #" + std::to_string(index) + " (client " + std::to_string(spec.client) + ")";
 }
 
+// Range tests that fail NaN and infinities: a check written as `x < bound` passes NaN,
+// because every comparison with NaN is false.
+bool FiniteAtLeast(double x, double lo) { return std::isfinite(x) && x >= lo; }
+bool FiniteAbove(double x, double lo) { return std::isfinite(x) && x > lo; }
+bool Fraction(double x) { return x > 0.0 && x <= 1.0; }  // (0, 1].
+
 }  // namespace
 
 std::string ValidateScenario(const ScenarioConfig& config,
@@ -128,16 +136,31 @@ std::string ValidateScenario(const ScenarioConfig& config,
     if (tbr.fill_period <= 0 || tbr.bucket_depth <= 0 || tbr.initial_tokens < 0) {
       return "config: TBR needs fill_period > 0, bucket_depth > 0, initial_tokens >= 0";
     }
+    const std::pair<const char*, double> knobs[] = {
+        {"adjust_threshold", tbr.adjust_threshold},
+        {"usage_ewma_alpha", tbr.usage_ewma_alpha},
+        {"saturation_guard", tbr.saturation_guard},
+        {"min_rate", tbr.min_rate},
+        {"repair_step", tbr.repair_step},
+        {"demand_alpha", tbr.demand_alpha},
+        {"demand_active_threshold", tbr.demand_active_threshold},
+    };
+    for (const auto& [name, value] : knobs) {
+      if (!std::isfinite(value)) {
+        return std::string("config: TBR ") + name + " must be finite";
+      }
+    }
     if (tbr.enable_rate_adjust &&
-        (tbr.adjust_period <= 0 || tbr.adjust_threshold <= 0.0 || tbr.min_rate <= 0.0)) {
+        (tbr.adjust_period <= 0 || tbr.adjust_threshold <= 0.0 || tbr.min_rate <= 0.0 ||
+         !Fraction(tbr.usage_ewma_alpha))) {
       return "config: TBR rate adjust needs adjust_period > 0, adjust_threshold > 0, "
-             "min_rate > 0";
+             "min_rate > 0, usage_ewma_alpha in (0, 1]";
     }
     if (tbr.contention_contenders < 0) {
       return "config: TBR contention_contenders must be >= 0 (0 = associated count)";
     }
     if (tbr.mode == core::TbrMode::kFastEwma &&
-        (tbr.demand_period <= 0 || tbr.demand_alpha <= 0.0 || tbr.demand_alpha > 1.0 ||
+        (tbr.demand_period <= 0 || !Fraction(tbr.demand_alpha) ||
          tbr.demand_active_threshold < 0.0)) {
       return "config: TBR fast-EWMA needs demand_period > 0, demand_alpha in (0, 1], "
              "demand_active_threshold >= 0";
@@ -164,8 +187,8 @@ std::string ValidateScenario(const ScenarioConfig& config,
     if (!(s.per >= 0.0 && s.per <= 1.0)) {  // NaN fails the conjunction.
       return tag + ": per must be in [0, 1]";
     }
-    if (s.snr_db < 0.0) {
-      return tag + ": snr_db must be >= 0 (0 disables the SNR model)";
+    if (!FiniteAtLeast(s.snr_db, 0.0)) {
+      return tag + ": snr_db must be finite and >= 0 (0 disables the SNR model)";
     }
     if (s.queue_limit == 0) {
       return tag + ": queue_limit must be > 0";
@@ -208,9 +231,10 @@ std::string ValidateScenario(const ScenarioConfig& config,
         }
         break;
       case TrafficModel::kOnOffWeb:
-        if (f.onoff.mean_flow_bytes < 1.0 || f.onoff.pareto_alpha <= 1.0 ||
-            f.onoff.mean_think_sec < 0.0) {
-          return FlowTag(i, f) + ": on/off sources need mean_flow_bytes >= 1, "
+        if (!FiniteAtLeast(f.onoff.mean_flow_bytes, 1.0) ||
+            !FiniteAbove(f.onoff.pareto_alpha, 1.0) ||
+            !FiniteAtLeast(f.onoff.mean_think_sec, 0.0)) {
+          return FlowTag(i, f) + ": on/off sources need finite mean_flow_bytes >= 1, "
                  "pareto_alpha > 1, mean_think_sec >= 0";
         }
         break;

@@ -139,11 +139,12 @@ struct ScenarioConfig {
 };
 
 // Validates a full scenario declaration up front: config ranges (nonzero rates and
-// durations, MAC timing sanity), station bounds (ids in (0, kServerId), unique, PER in
-// [0,1], nonzero queues), and per-flow requirements (declared station, packet size
-// larger than its transport header, task_bytes > 0 where a finite task is implied,
-// positive on/off distribution parameters, non-empty sorted replay logs). Returns an
-// empty string when valid, else a one-line diagnostic naming the offending entry.
+// durations, MAC timing sanity, finite TBR knobs), station bounds (ids in (0,
+// kServerId), unique, PER in [0,1], finite SNR, nonzero queues), and per-flow
+// requirements (declared station, packet size larger than its transport header,
+// task_bytes > 0 where a finite task is implied, finite positive on/off distribution
+// parameters, non-empty sorted replay logs). Returns an empty string when valid, else
+// a one-line diagnostic naming the offending entry.
 std::string ValidateScenario(const ScenarioConfig& config,
                              const std::vector<StationSpec>& stations,
                              const std::vector<FlowSpec>& flows);

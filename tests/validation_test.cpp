@@ -3,6 +3,7 @@
 // spec - not a mid-run TBF_CHECK abort, and never a silently wrong simulation. This is
 // the same validation the campaign coordinator runs over every manifest job before
 // dispatching anything (campaign/manifest.h).
+#include <functional>
 #include <limits>
 #include <string>
 
@@ -92,6 +93,78 @@ TEST(ScenarioValidationTest, FastEwmaKnobsAreValidatedOnlyInFastEwmaMode) {
     config.tbr.mode = core::TbrMode::kStock;
     EXPECT_EQ(ValidateScenario(config, {Station(1)}, {BulkTcp(1)}), "");
   }
+}
+
+TEST(ScenarioValidationTest, NonFiniteDoublesAreRejectedEverywhere) {
+  // Every comparison with NaN is false, so a range check written as `x < bound` lets
+  // NaN through; a NaN snr_db silently disables loss, and a NaN think time or min_rate
+  // reaches a float-to-int cast. Each double of StationSpec, FlowSpec::onoff and
+  // TbrConfig must be finite, in both TBR modes.
+  struct Case {
+    const char* field;
+    std::function<void(ScenarioConfig*, StationSpec*, FlowSpec*, double)> set;
+  };
+  const Case cases[] = {
+      {"per", [](ScenarioConfig*, StationSpec* s, FlowSpec*, double v) { s->per = v; }},
+      {"snr_db", [](ScenarioConfig*, StationSpec* s, FlowSpec*, double v) { s->snr_db = v; }},
+      {"mean_flow_bytes",
+       [](ScenarioConfig*, StationSpec*, FlowSpec* f, double v) { f->onoff.mean_flow_bytes = v; }},
+      {"pareto_alpha",
+       [](ScenarioConfig*, StationSpec*, FlowSpec* f, double v) { f->onoff.pareto_alpha = v; }},
+      {"mean_think_sec",
+       [](ScenarioConfig*, StationSpec*, FlowSpec* f, double v) { f->onoff.mean_think_sec = v; }},
+      {"adjust_threshold",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.adjust_threshold = v; }},
+      {"usage_ewma_alpha",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.usage_ewma_alpha = v; }},
+      {"saturation_guard",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.saturation_guard = v; }},
+      {"min_rate", [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.min_rate = v; }},
+      {"repair_step",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.repair_step = v; }},
+      {"demand_alpha",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.demand_alpha = v; }},
+      {"demand_active_threshold",
+       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) {
+         c->tbr.demand_active_threshold = v;
+       }},
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const core::TbrMode mode : {core::TbrMode::kStock, core::TbrMode::kFastEwma}) {
+    for (const Case& c : cases) {
+      for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+        SCOPED_TRACE(std::string(c.field) + " = " + std::to_string(bad) + ", mode " +
+                     std::to_string(static_cast<int>(mode)));
+        ScenarioConfig config = BaseConfig();
+        config.qdisc = QdiscKind::kTbr;
+        config.tbr.mode = mode;
+        StationSpec station = Station(1);
+        FlowSpec flow = BulkTcp(1);
+        flow.model = TrafficModel::kOnOffWeb;
+        ASSERT_EQ(ValidateScenario(config, {station}, {flow}), "");
+        c.set(&config, &station, &flow, bad);
+        ExpectInvalid(config, {station}, {flow}, c.field);
+      }
+    }
+  }
+}
+
+TEST(ScenarioValidationTest, UsageEwmaAlphaMustBeAFraction) {
+  // The stock adjuster smooths usage with usage_ewma_alpha; outside (0, 1] the EWMA
+  // stops averaging (0 never moves, above 1 overshoots and oscillates).
+  for (const double alpha : {0.0, -0.5, 1.0001, 7.0}) {
+    ScenarioConfig config = BaseConfig();
+    config.qdisc = QdiscKind::kTbr;
+    config.tbr.usage_ewma_alpha = alpha;
+    ExpectInvalid(config, {Station(1)}, {}, "usage_ewma_alpha");
+    // Without rate adjustment nothing reads it.
+    config.tbr.enable_rate_adjust = false;
+    EXPECT_EQ(ValidateScenario(config, {Station(1)}, {BulkTcp(1)}), "") << alpha;
+  }
+  ScenarioConfig edge = BaseConfig();
+  edge.qdisc = QdiscKind::kTbr;
+  edge.tbr.usage_ewma_alpha = 1.0;
+  EXPECT_EQ(ValidateScenario(edge, {Station(1)}, {BulkTcp(1)}), "");
 }
 
 TEST(ScenarioValidationTest, StationSpecsAreValidatedWithIdentity) {
