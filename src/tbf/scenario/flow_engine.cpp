@@ -162,8 +162,8 @@ std::unique_ptr<FlowEngine> StartFlow(const FlowSpec& spec, int flow_id,
     rt->udp_source = std::make_unique<net::UdpSource>(send.sim, send.pool, addr, send.exit,
                                                       spec.udp_rate, spec.packet_bytes,
                                                       first_task, send.rng);
-    rt->udp_sink =
-        std::make_unique<net::UdpSink>([engine](int64_t bytes) { engine->OnDelivered(bytes); });
+    rt->udp_sink = std::make_unique<net::UdpSink>(
+        [engine](int64_t bytes) { engine->OnDelivered(bytes); });
     recv.demux->Register(addr.receiver, flow_id, rt->udp_sink.get());
     // Stagger CBR starts so synchronized sources do not phase-lock on shared queues;
     // flow ids are campus-global, so a campus cell staggers like an equivalent Wlan.

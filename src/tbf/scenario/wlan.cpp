@@ -280,9 +280,9 @@ void Wlan::Build() {
 
   // The server end shares the cell's Simulator, pool, Rng, stats engine and demux.
   net::WiredHost* server = server_.get();
-  const FlowSide server_side{&sim_, &packet_pool_, &cell_->rng, &cell_->stats,
-                             &cell_->demux,
-                             [server](net::PacketPtr p) { server->SendPacket(std::move(p)); }};
+  const FlowSide server_side{
+      &sim_, &packet_pool_, &cell_->rng, &cell_->stats, &cell_->demux,
+      [server](net::PacketPtr p) { server->SendPacket(std::move(p)); }};
   for (size_t i = 0; i < flow_specs_.size(); ++i) {
     const FlowSpec& spec = flow_specs_[i];
     flows_.push_back(StartFlow(spec, static_cast<int>(i) + 1,

@@ -22,18 +22,16 @@ namespace tbf::shard {
 struct CampusSim::CellShard {
   CellShard(const scenario::CampusConfig& config, const scenario::BssSpec& bss,
             uint64_t seed, TimeNs delay)
-      : link_delay(delay),
-        uplink(&sim, &to_core, config.backbone_rate, delay, config.backbone_queue_limit),
+      : uplink(&sim, &to_core, config.backbone_rate, delay, config.backbone_queue_limit),
         stack(config.cell, bss.stations, seed, &sim, &pool,
               [up = &uplink](net::PacketPtr p) { up->Send(std::move(p)); }) {}
 
-  TimeNs link_delay;  // One-way backbone latency of this cell's uplink/downlink.
   sim::Simulator sim;
   net::PacketPool pool;
   Mailbox to_core;  // Written only by `uplink` during this cell's window.
   ShardLink uplink;  // Cell -> core backbone direction.
-  // Its stats engine is written only by the cell's thread during windows and sealed
-  // into the campus engine by the coordinator at barriers.
+  // The stack's stats engine is written only by the cell's thread during windows and
+  // sealed into the campus engine by the coordinator at barriers.
   scenario::CellStack stack;
   // This cell's flows in flow-id order. Their server ends run in the core shard;
   // their delivered-bytes counters are read by the coordinator only at barriers.
@@ -285,14 +283,13 @@ void CampusSim::Build() {
   int next_flow_id = 1;
   for (size_t i = 0; i < cells_.size(); ++i) {
     CellShard& cell = *cells_[i];
-    const scenario::FlowSide server{&core_->sim, &core_->pool, &core_->rng, &core_->stats,
-                          &core_->demux,
-                          [down = core_->downlinks[i].get()](net::PacketPtr p) {
-                            down->Send(std::move(p));
-                          }};
+    ShardLink* down = core_->downlinks[i].get();
+    const scenario::FlowSide server{
+        &core_->sim, &core_->pool, &core_->rng, &core_->stats, &core_->demux,
+        [down](net::PacketPtr p) { down->Send(std::move(p)); }};
     for (const scenario::FlowSpec& spec : bss_[i].flows) {
-      cell.flows.push_back(scenario::StartFlow(spec, next_flow_id++,
-                                               cell.stack.ClientSide(spec.client), server));
+      cell.flows.push_back(scenario::StartFlow(
+          spec, next_flow_id++, cell.stack.ClientSide(spec.client), server));
     }
   }
 
