@@ -4,7 +4,7 @@
 // direction, task size, app limit) and the AP queueing discipline - then builds the full
 // stack (a scenario::CellStack plus a wired backbone and server, and the transports),
 // runs it, and returns per-node goodput, airtime shares and per-flow results measured
-// after a warmup. Every single-cell bench and example is a thin wrapper around this
+// after a warmup. The packet-level single-cell benches and examples run through this
 // class; the multi-AP campus ones use shard::CampusSim, which builds each of its cells
 // from the same CellStack.
 #ifndef TBF_SCENARIO_WLAN_H_

@@ -47,8 +47,9 @@ class CampusSim {
   // campus readout. Throws scenario::ScenarioError on an invalid declaration.
   scenario::CampusResults Run();
 
-  // TBF_SHARD_THREADS when set (clamped to [1, 64]); else 1 inside a SweepRunner
-  // worker (the sweep already owns the parallelism budget); else hardware concurrency.
+  // TBF_SHARD_THREADS when it reads as a positive count (capped at 64; zero, negative
+  // and non-numeric values are ignored); else 1 inside a SweepRunner worker (the sweep
+  // already owns the parallelism budget); else hardware concurrency.
   static int DefaultShardThreads();
 
   // Post-build introspection.

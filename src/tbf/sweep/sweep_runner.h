@@ -73,7 +73,8 @@ class SweepRunner {
 
   int thread_count() const { return static_cast<int>(workers_.size()); }
 
-  // TBF_SWEEP_THREADS when set (clamped to [1, 64]), else hardware concurrency.
+  // TBF_SWEEP_THREADS when it reads as a positive count (capped at 64; zero, negative
+  // and non-numeric values are ignored), else hardware concurrency.
   static int DefaultThreadCount();
 
   // True on a SweepRunner worker thread. Nested parallel subsystems (the sharded
