@@ -154,6 +154,37 @@ TEST(ShardCampusTest, WindowedMetrologyBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ShardCampusTest, CampusSketchesEqualMergedCellSketches) {
+  // Under exact retention (the default StatsConfig) the campus-wide latency sketches
+  // must equal the merge of the per-cell sketches bit for bit: sketch merges add int64
+  // bucket counts, so neither the merge order nor the thread count can change them.
+  for (const int threads : {1, 4}) {
+    CampusSim campus(SmallCampusConfig(), threads);
+    for (int cell = 0; cell < 3; ++cell) {
+      BssSpec bss = MakeBss(3, Direction::kDownlink, Transport::kTcp);
+      bss.flows[0].direction = Direction::kUplink;
+      bss.flows[2].model = TrafficModel::kTaskSequence;
+      bss.flows[2].task_bytes = 16 * 1024;
+      bss.flows[2].task_count = 50;
+      campus.AddBss(bss);
+    }
+    const CampusResults results = campus.Run();
+    ASSERT_EQ(results.cells.size(), 3u);
+    stats::QuantileSketch rtt, queue_delay, task_latency;
+    for (const scenario::Results& cell : results.cells) {
+      rtt.Merge(cell.rtt_sketch);
+      queue_delay.Merge(cell.ap_queue_delay_sketch);
+      task_latency.Merge(cell.task_latency_sketch);
+    }
+    EXPECT_GT(rtt.count(), 0) << threads;
+    EXPECT_GT(queue_delay.count(), 0) << threads;
+    EXPECT_GT(task_latency.count(), 0) << threads;
+    EXPECT_EQ(results.rtt_sketch, rtt) << threads;
+    EXPECT_EQ(results.ap_queue_delay_sketch, queue_delay) << threads;
+    EXPECT_EQ(results.task_latency_sketch, task_latency) << threads;
+  }
+}
+
 TEST(ShardCampusTest, SkewedCampusBitIdenticalAcrossSliceCuts) {
   // One saturated 16-station cell among 1-station cells: the pool re-cuts its
   // event-balanced slices every 256 windows, so the heavy cell changes threads during

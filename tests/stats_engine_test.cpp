@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tbf/scenario/wlan.h"
 #include "tbf/sweep/sweep_runner.h"
 
 namespace tbf::stats {
@@ -339,6 +340,50 @@ sweep::ScenarioJob WindowedJob(scenario::QdiscKind qdisc, uint64_t seed) {
     job.flows.push_back(flow);
   }
   return job;
+}
+
+// ---------------------------------------------------------------------------
+// Cell readout under exact retention (the default StatsConfig).
+// ---------------------------------------------------------------------------
+
+TEST(StatsEngineWlanTest, CellSketchesEqualMergedPerFlowSketches) {
+  // Every flow is retained, so each cell-wide sketch must equal the merge of the
+  // per-flow sketches bit for bit: a merge adds int64 bucket counts and takes the
+  // min and max, which no merge order can change.
+  for (const scenario::QdiscKind qdisc :
+       {scenario::QdiscKind::kFifo, scenario::QdiscKind::kTbr}) {
+    scenario::ScenarioConfig config;
+    config.qdisc = qdisc;
+    config.warmup = Ms(200);
+    config.duration = Sec(2);
+    scenario::Wlan wlan(config);
+    wlan.AddStation(1, phy::WifiRate::k11Mbps);
+    wlan.AddStation(2, phy::WifiRate::k2Mbps);
+    wlan.AddStation(3, phy::WifiRate::k11Mbps);
+    wlan.AddBulkTcp(1, scenario::Direction::kUplink);
+    wlan.AddBulkTcp(2, scenario::Direction::kDownlink);
+    wlan.AddTaskSequence(3, scenario::Direction::kDownlink, 16 * 1024, 50);
+    const scenario::Results r = wlan.Run();
+
+    QuantileSketch rtt, queue_delay, task_latency;
+    for (const scenario::FlowResult& fr : r.flows) {
+      const FlowStats* fs = wlan.stats_engine().flow(fr.flow_id);
+      ASSERT_NE(fs, nullptr);
+      rtt.Merge(fs->rtt_sketch);
+      queue_delay.Merge(fs->queue_delay_sketch);
+      task_latency.Merge(fs->task_latency_sketch);
+    }
+    ASSERT_EQ(r.flows.size(), 3u);
+    EXPECT_GT(rtt.count(), 0);
+    EXPECT_GT(queue_delay.count(), 0);
+    EXPECT_GT(task_latency.count(), 0);
+    EXPECT_EQ(r.rtt_sketch, rtt);
+    EXPECT_EQ(r.ap_queue_delay_sketch, queue_delay);
+    EXPECT_EQ(r.task_latency_sketch, task_latency);
+    EXPECT_EQ(r.rtt, scenario::LatencySummary::FromSketch(rtt));
+    EXPECT_EQ(r.ap_queue_delay, scenario::LatencySummary::FromSketch(queue_delay));
+    EXPECT_EQ(r.task_latency, scenario::LatencySummary::FromSketch(task_latency));
+  }
 }
 
 TEST(StatsEngineSweepTest, WindowedSweepIsBitIdenticalAcrossPoolSizes) {
