@@ -72,8 +72,9 @@ int QuantileSketch::BucketIndex(double value) const {
   if (!(value > kMinValue)) {  // NaN and below-range both land in the bottom bucket.
     return 0;
   }
-  const int index = static_cast<int>(std::ceil(std::log(value / kMinValue) / log_gamma_));
-  return std::min(index, bucket_count_ - 1);
+  // Clamped before the cast: +inf has no int value.
+  const double index = std::ceil(std::log(value / kMinValue) / log_gamma_);
+  return static_cast<int>(std::min(index, static_cast<double>(bucket_count_ - 1)));
 }
 
 void QuantileSketch::Add(double value) {

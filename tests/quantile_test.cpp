@@ -5,6 +5,7 @@
 // scenario Results rely on).
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -131,6 +132,20 @@ TEST(QuantileSketchTest, OutOfRangeValuesClampIntoEdgeBuckets) {
   for (const double q : kQuantiles) {
     EXPECT_GE(sketch.Quantile(q), -5.0);
     EXPECT_LE(sketch.Quantile(q), 1e18);
+  }
+  // The infinities land in the same edge buckets: the quantiles match a sketch fed
+  // finite out-of-range values in their place.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  QuantileSketch with_inf = sketch;
+  with_inf.Add(kInf);
+  with_inf.Add(-kInf);
+  sketch.Add(1e18);
+  sketch.Add(-5.0);
+  EXPECT_EQ(with_inf.count(), 5);
+  EXPECT_EQ(with_inf.min(), -kInf);
+  EXPECT_EQ(with_inf.max(), kInf);
+  for (const double q : kQuantiles) {
+    EXPECT_EQ(with_inf.Quantile(q), sketch.Quantile(q)) << q;
   }
 }
 
