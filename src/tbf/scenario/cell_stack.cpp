@@ -34,9 +34,8 @@ std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulato
   return nullptr;
 }
 
-// Folds one flow's measurement-window readout into `results`: the FlowResult, the
-// merged cell-wide sketches (retained flows only under sampled retention), per-client
-// goodput, and the Table 1 task aggregates accumulated via `sum_task_sec`/
+// Folds one flow's measurement-window readout into `results`: the FlowResult,
+// per-client goodput, and the Table 1 task aggregates accumulated via `sum_task_sec`/
 // `table1_tasks` (the caller divides at the end). Task and RTT meters come from the
 // stats engine of the flow's engine side; `queue_meters` is the cell's, where the AP
 // qdisc tap always records - for downlink campus flows the two differ.
@@ -95,7 +94,7 @@ void AccumulateFlowResult(const FlowEngine& flow, double window_sec,
   }
   // Counted-tier-only flows report their sample counts with zero percentiles
   // (fr.exact == false tells the reader); the run-wide meters still carry their
-  // samples in every streaming mode.
+  // samples.
   if (fs->retained) {
     fr.rtt = LatencySummary::FromSketch(fs->rtt_sketch);
     fr.task_latency = LatencySummary::FromSketch(fs->task_latency_sketch);
@@ -108,9 +107,6 @@ void AccumulateFlowResult(const FlowEngine& flow, double window_sec,
   } else {
     fr.queue_delay.count = qs->queue_count;
   }
-  results->rtt_sketch.Merge(fs->rtt_sketch);
-  results->ap_queue_delay_sketch.Merge(qs->queue_delay_sketch);
-  results->task_latency_sketch.Merge(fs->task_latency_sketch);
   results->goodput_bps[flow.spec.client] += fr.goodput_bps;
   results->aggregate_bps += fr.goodput_bps;
   results->flows.push_back(fr);
@@ -217,9 +213,6 @@ void CellStack::ReadOut(TimeNs duration, const FlowList& flows, Results* out) co
   if (table1_tasks > 0) {
     out->avg_task_time_sec = sum_task_sec / static_cast<double>(table1_tasks);
   }
-  out->rtt = LatencySummary::FromSketch(out->rtt_sketch);
-  out->ap_queue_delay = LatencySummary::FromSketch(out->ap_queue_delay_sketch);
-  out->task_latency = LatencySummary::FromSketch(out->task_latency_sketch);
   out->rtt_series = stats.series(stats::kRtt);
   out->ap_queue_delay_series = stats.series(stats::kQueueDelay);
   out->task_latency_series = stats.series(stats::kTaskLatency);

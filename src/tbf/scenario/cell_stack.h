@@ -52,10 +52,11 @@ class CellStack {
   void SnapshotWarmup(const FlowList& flows);
 
   // Fills `out` with the measurement window's readout of this cell and its `flows`:
-  // airtime shares, per-flow results, the per-flow sketch merges with their summaries,
-  // this cell's series, utilization and MAC/AP counters. Task and RTT meters are read
-  // from each flow's engine side, queue delays from this cell. Stats engines must be
-  // flushed first.
+  // airtime shares, per-flow results, this cell's series, utilization and MAC/AP
+  // counters. Task and RTT meters are read from each flow's engine side, queue delays
+  // from this cell. The cell-wide latency sketches and their summaries are left to the
+  // caller: a Wlan copies its engine's meters, a campus merges each cell's per-flow
+  // sketches. Stats engines must be flushed first.
   void ReadOut(TimeNs duration, const FlowList& flows, Results* out) const;
 
   sim::Simulator* const sim;

@@ -65,7 +65,7 @@ struct FlowResult {
   int64_t timeouts = 0;
 
   // Whether this flow's exact tier (task vectors, per-flow sketches) covers its whole
-  // run. Always true in legacy exact mode. Under sampled retention
+  // run. Always true under exact retention. Under sampled retention
   // (StatsConfig::top_k > 0) it is false for counted-tier-only flows - their summaries
   // carry the sample count but zero percentiles - and for flows promoted into the
   // top-K mid-run, whose percentiles cover only the post-promotion samples.

@@ -321,17 +321,14 @@ Results Wlan::Run() {
   const stats::StatsEngine& engine = cell_->stats;
   Results results;
   cell_->ReadOut(config_.duration, flows_, &results);
-  // Legacy exact mode: the cell-wide sketches are ReadOut's per-flow merges, exactly
-  // the pre-engine readout. Streaming modes: replace them with the engine's complete
-  // whole-run meters (the per-flow merge covers retained flows only).
-  if (engine.HasCompleteMeters()) {
-    results.rtt_sketch = engine.meter(stats::kRtt);
-    results.ap_queue_delay_sketch = engine.meter(stats::kQueueDelay);
-    results.task_latency_sketch = engine.meter(stats::kTaskLatency);
-    results.rtt = LatencySummary::FromSketch(results.rtt_sketch);
-    results.ap_queue_delay = LatencySummary::FromSketch(results.ap_queue_delay_sketch);
-    results.task_latency = LatencySummary::FromSketch(results.task_latency_sketch);
-  }
+  // Every sample of the cell went through its one engine, so the whole-run meters are
+  // the cell-wide sketches.
+  results.rtt_sketch = engine.meter(stats::kRtt);
+  results.ap_queue_delay_sketch = engine.meter(stats::kQueueDelay);
+  results.task_latency_sketch = engine.meter(stats::kTaskLatency);
+  results.rtt = LatencySummary::FromSketch(results.rtt_sketch);
+  results.ap_queue_delay = LatencySummary::FromSketch(results.ap_queue_delay_sketch);
+  results.task_latency = LatencySummary::FromSketch(results.task_latency_sketch);
   return results;
 }
 

@@ -132,7 +132,7 @@ struct ScenarioConfig {
   TimeNs warmup = Sec(2);       // Stats ignore this prefix.
   TimeNs duration = Sec(30);    // Measurement window length.
   // Metrology policy (windowed percentiles, sampled per-flow retention). The default
-  // is legacy exact mode: every flow retained, whole run one window.
+  // is exact retention: every flow retained, whole run one window.
   stats::StatsConfig stats;
 
   friend bool operator==(const ScenarioConfig&, const ScenarioConfig&) = default;

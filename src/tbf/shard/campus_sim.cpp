@@ -381,8 +381,8 @@ scenario::CampusResults CampusSim::Run() {
   RunWindows(cc.warmup + cc.duration);
 
   // End-of-run metrology flush: children first (fixed order), then the campus engine,
-  // so the partial last window and - in unwindowed streaming mode - the whole-run
-  // meters land in the campus tree exactly once.
+  // so the partial last window and - in an unwindowed run - the whole-run meters land
+  // in the campus tree exactly once.
   for (std::unique_ptr<CellShard>& cell : cells_) {
     cell->stack.stats.FlushAll(&campus_stats_);
   }
@@ -396,29 +396,36 @@ scenario::CampusResults CampusSim::Run() {
   for (size_t i = 0; i < cells_.size(); ++i) {
     const CellShard& cell = *cells_[i];
     scenario::Results& r = out.cells[i];
-    // The per-cell sketches are the per-flow merges (retained flows only under sampled
-    // retention); the per-cell series covers what this cell's shard observed.
+    // The per-cell series covers what this cell's shard observed.
     cell.stack.ReadOut(cc.duration, cell.flows, &r);
+    // A campus flow records in two shards (RTT and task samples on its engine side,
+    // queue delays in its cell), so no one meter holds a cell: the cell's sketches
+    // merge its flows' per-flow sketches (retained flows only under top-K retention).
+    for (const std::unique_ptr<scenario::FlowEngine>& flow : cell.flows) {
+      if (const stats::FlowStats* fs = flow->stats->flow(flow->flow_id)) {
+        r.rtt_sketch.Merge(fs->rtt_sketch);
+        r.task_latency_sketch.Merge(fs->task_latency_sketch);
+      }
+      if (const stats::FlowStats* qs = cell.stack.stats.flow(flow->flow_id)) {
+        r.ap_queue_delay_sketch.Merge(qs->queue_delay_sketch);
+      }
+    }
+    r.rtt = scenario::LatencySummary::FromSketch(r.rtt_sketch);
+    r.ap_queue_delay = scenario::LatencySummary::FromSketch(r.ap_queue_delay_sketch);
+    r.task_latency = scenario::LatencySummary::FromSketch(r.task_latency_sketch);
 
     out.aggregate_bps += r.aggregate_bps;
     out.tasks_completed += r.tasks_completed;
     out.mac_exchanges += r.mac_exchanges;
     out.mac_collisions += r.mac_collisions;
-    out.rtt_sketch.Merge(r.rtt_sketch);
-    out.ap_queue_delay_sketch.Merge(r.ap_queue_delay_sketch);
-    out.task_latency_sketch.Merge(r.task_latency_sketch);
 
     out.cross_shard_packets += cell.uplink.sent() + core_->downlinks[i]->sent();
     out.backbone_drops += cell.uplink.drops() + core_->downlinks[i]->drops();
   }
-  // Legacy exact mode: the campus-wide sketches are the per-cell merges above, byte-
-  // identical to the pre-engine readout. Streaming modes: the campus engine's merge
-  // tree carries every sample from every shard, so it replaces them.
-  if (campus_stats_.HasCompleteMeters()) {
-    out.rtt_sketch = campus_stats_.meter(stats::kRtt);
-    out.ap_queue_delay_sketch = campus_stats_.meter(stats::kQueueDelay);
-    out.task_latency_sketch = campus_stats_.meter(stats::kTaskLatency);
-  }
+  // The campus engine's merge tree carries every sample from every shard.
+  out.rtt_sketch = campus_stats_.meter(stats::kRtt);
+  out.ap_queue_delay_sketch = campus_stats_.meter(stats::kQueueDelay);
+  out.task_latency_sketch = campus_stats_.meter(stats::kTaskLatency);
   out.rtt = scenario::LatencySummary::FromSketch(out.rtt_sketch);
   out.ap_queue_delay = scenario::LatencySummary::FromSketch(out.ap_queue_delay_sketch);
   out.task_latency = scenario::LatencySummary::FromSketch(out.task_latency_sketch);

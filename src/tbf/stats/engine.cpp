@@ -96,9 +96,9 @@ void StatsEngine::RecordTaskCompletion(int flow_id, TimeNs now, TimeNs duration)
   if (fs->retained) {
     fs->task_completions.push_back(now);
     fs->task_durations.push_back(duration);
-    fs->task_latency_sketch.Add(static_cast<double>(duration));
   }
-  AddSample(kTaskLatency, now, static_cast<double>(duration));
+  AddSample(kTaskLatency, now, static_cast<double>(duration),
+            fs->retained ? &fs->task_latency_sketch : nullptr);
 }
 
 void StatsEngine::RecordRtt(int flow_id, TimeNs now, TimeNs sample) {
@@ -108,10 +108,8 @@ void StatsEngine::RecordRtt(int flow_id, TimeNs now, TimeNs sample) {
   }
   ++fs->rtt_count;
   fs->rtt_sum += sample;
-  if (fs->retained) {
-    fs->rtt_sketch.Add(static_cast<double>(sample));
-  }
-  AddSample(kRtt, now, static_cast<double>(sample));
+  AddSample(kRtt, now, static_cast<double>(sample),
+            fs->retained ? &fs->rtt_sketch : nullptr);
 }
 
 void StatsEngine::RecordQueueDelay(int flow_id, TimeNs now, TimeNs delay) {
@@ -121,28 +119,28 @@ void StatsEngine::RecordQueueDelay(int flow_id, TimeNs now, TimeNs delay) {
   }
   ++fs->queue_count;
   fs->queue_sum += delay;
-  if (fs->retained) {
-    fs->queue_delay_sketch.Add(static_cast<double>(delay));
-  }
-  AddSample(kQueueDelay, now, static_cast<double>(delay));
+  AddSample(kQueueDelay, now, static_cast<double>(delay),
+            fs->retained ? &fs->queue_delay_sketch : nullptr);
 }
 
-void StatsEngine::AddSample(MeterKind kind, TimeNs now, double value) {
-  // Legacy exact mode keeps no engine-wide meters: readout merges the per-flow
-  // sketches exactly as the pre-engine code did, and the default path costs nothing.
-  if (config_.LegacyExact()) {
-    return;
-  }
+void StatsEngine::AddSample(MeterKind kind, TimeNs now, double value,
+                            QuantileSketch* flow_sketch) {
+  // Every engine sketch has the default relative error, so one bucket index (one
+  // std::log) serves the flow's sketch and the meter.
   Meter& m = meters_[kind];
+  const int bucket = m.whole.BucketIndex(value);
+  if (flow_sketch != nullptr) {
+    flow_sketch->AddAt(bucket, value);
+  }
   if (config_.window <= 0) {
-    m.whole.Add(value);
+    m.whole.AddAt(bucket, value);
     return;
   }
   const int64_t idx = now / config_.window;
   if (auto_seal_ && !m.open.empty() && m.open.back().index < idx) {
     SealMeter(kind, idx, nullptr);
   }
-  OpenAt(m, idx).Add(value);
+  OpenAt(m, idx).AddAt(bucket, value);
 }
 
 QuantileSketch& StatsEngine::OpenAt(Meter& m, int64_t index) {

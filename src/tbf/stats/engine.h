@@ -33,10 +33,9 @@
 //     for any TBF_SHARD_THREADS - the merge order is fixed by the caller, never by
 //     thread scheduling.
 //
-// The legacy default config (window == 0, top_k <= 0) is "exact" mode: all flows
-// retained, one implicit window, no engine-wide meters maintained (readout merges the
-// per-flow sketches exactly the way the pre-engine code did), which is how the refactor
-// reproduces the existing scenario bench outputs byte-identically.
+// The default config (window == 0, top_k <= 0) is exact retention in one implicit
+// window: every flow keeps its exact tier, so each engine-wide meter equals the merge
+// of the per-flow sketches bit for bit. The meters exist in every configuration.
 //
 // Not thread-safe: one engine per shard, records only from that shard's thread; merges
 // only from the coordinator at barriers. See docs/metrology.md.
@@ -52,7 +51,8 @@
 
 namespace tbf::stats {
 
-// Metrology policy for one run. The default is legacy exact mode.
+// Metrology policy for one run: two independent settings, the series window and
+// top-K retention. The default is exact retention with no series.
 struct StatsConfig {
   // Interval-percentile window width. > 0: samples bucket into floor(now/window)
   // windows and sealed windows emit a WindowStat series. 0: whole run is one window.
@@ -65,10 +65,6 @@ struct StatsConfig {
   // (never evicted). 0 disables the sample.
   int sample_every = 0;
   uint64_t sample_seed = 1;
-
-  // Legacy exact mode: the configuration under which the engine reproduces the
-  // pre-engine readout byte-identically.
-  bool LegacyExact() const { return window <= 0 && top_k <= 0; }
 
   friend bool operator==(const StatsConfig&, const StatsConfig&) = default;
 };
@@ -169,9 +165,9 @@ class StatsEngine {
   // then the parent), which is what keeps sharded runs bit-identical.
   void SealWindowsUpTo(TimeNs now, StatsEngine* parent = nullptr);
 
-  // End-of-run: seals every open window including the partial last one. In unwindowed
-  // streaming mode (window == 0, top_k > 0) this instead folds the whole-run meters
-  // into the parent. Call on children (fixed order) before the parent.
+  // End-of-run: seals every open window including the partial last one. Unwindowed
+  // (window == 0), this instead folds the whole-run meters into the parent. Call on
+  // children (fixed order) before the parent.
   void FlushAll(StatsEngine* parent = nullptr);
 
   // With auto-seal on, opening a new (later) window seals every older one immediately
@@ -181,11 +177,10 @@ class StatsEngine {
   // O(run length / window).
   void SetAutoSeal(bool on) { auto_seal_ = on; }
 
-  // Whole-run meter distribution. Complete - covering every sample recorded through
-  // this engine and its merge-tree children - in every mode except legacy exact, where
-  // it is intentionally empty and readout merges the per-flow sketches instead.
+  // Whole-run meter distribution, covering every sample recorded through this engine
+  // and its merge-tree children, in every configuration. Under exact retention it
+  // equals the merge of the per-flow sketches bit for bit.
   const QuantileSketch& meter(MeterKind kind) const { return meters_[kind].whole; }
-  bool HasCompleteMeters() const { return !config_.LegacyExact(); }
 
   // Percentile time series of sealed windows (empty when window == 0 or before any
   // seal). Stable across shard counts by the seal-order contract above.
@@ -208,8 +203,8 @@ class StatsEngine {
   const StatsConfig& config() const { return config_; }
 
   // Bytes currently held by metrology state: per-flow tiers, open-window sketches,
-  // whole-run meters, sealed series, retention table. The number the streaming modes
-  // exist to bound; bench_campus_scale reports it per row.
+  // whole-run meters, sealed series, retention table. The number windowing and top-K
+  // retention exist to bound; bench_campus_scale reports it per row.
   size_t MemoryFootprintBytes() const;
 
  private:
@@ -237,7 +232,8 @@ class StatsEngine {
   };
 
   FlowStats* MutableFlow(int flow_id);
-  void AddSample(MeterKind kind, TimeNs now, double value);
+  // Records one sample in the meter and, when not null, in the flow's sketch.
+  void AddSample(MeterKind kind, TimeNs now, double value, QuantileSketch* flow_sketch);
   void AddBytes(TimeNs now, int64_t bytes);
   QuantileSketch& OpenAt(Meter& m, int64_t index);
   OpenBytes& OpenBytesAt(int64_t index);

@@ -77,21 +77,24 @@ int QuantileSketch::BucketIndex(double value) const {
   return static_cast<int>(std::min(index, static_cast<double>(bucket_count_ - 1)));
 }
 
-void QuantileSketch::Add(double value) {
-  const int index = BucketIndex(value);
+void QuantileSketch::Add(double value) { AddAt(BucketIndex(value), value); }
+
+void QuantileSketch::AddAt(int bucket, double value) {
+  TBF_CHECK(bucket >= 0 && bucket < bucket_count_)
+      << "bucket " << bucket << " out of range";
   if (counts_.empty()) {
     counts_.assign(static_cast<size_t>(bucket_count_), 0);
     min_ = value;
     max_ = value;
-    lo_ = index;
-    hi_ = index;
+    lo_ = bucket;
+    hi_ = bucket;
   } else {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
-    lo_ = std::min(lo_, index);
-    hi_ = std::max(hi_, index);
+    lo_ = std::min(lo_, bucket);
+    hi_ = std::max(hi_, bucket);
   }
-  ++counts_[static_cast<size_t>(index)];
+  ++counts_[static_cast<size_t>(bucket)];
   ++count_;
 }
 

@@ -44,8 +44,17 @@ class QuantileSketch {
   explicit QuantileSketch(double relative_error = kDefaultRelativeError);
 
   // Records one sample. Values outside [kMinValue, kMaxValue] clamp into the edge
-  // buckets (min/max still track the raw value).
+  // buckets (min/max still track the raw value). Same as AddAt(BucketIndex(value),
+  // value).
   void Add(double value);
+
+  // The bucket Add files `value` under. It costs one std::log, and it depends only on
+  // the relative error, so a caller feeding one sample into several sketches of the
+  // same error computes it once and passes it to AddAt.
+  int BucketIndex(double value) const;
+  // Records `value` in `bucket`, which must be BucketIndex(value) of a sketch with
+  // this one's relative error. Aborts on a bucket outside the array.
+  void AddAt(int bucket, double value);
 
   // Folds `other` into this sketch. Requires identical relative_error. Commutative and
   // associative: any merge order over the same multiset of sketches yields bitwise
@@ -90,7 +99,6 @@ class QuantileSketch {
   friend bool operator==(const QuantileSketch&, const QuantileSketch&) = default;
 
  private:
-  int BucketIndex(double value) const;
   int BucketForRank(int64_t rank) const;
   double Representative(int bucket) const;
 

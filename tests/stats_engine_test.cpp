@@ -50,30 +50,42 @@ StatsConfig Windowed(TimeNs window, int top_k = 0) {
   return c;
 }
 
-TEST(StatsEngineTest, LegacyExactModeKeepsNoEngineMeters) {
-  StatsEngine engine;  // Default config = legacy exact.
-  EXPECT_FALSE(engine.HasCompleteMeters());
-  engine.RegisterFlow(1);
-  engine.RecordRtt(1, Ms(1), Ms(5));
-  engine.RecordTaskCompletion(1, Ms(2), Ms(2));
+TEST(StatsEngineTest, DefaultMetersEqualMergedPerFlowSketches) {
+  // The default config retains every flow and still keeps the engine-wide meters, so
+  // each meter is the merge of the per-flow sketches, bit for bit.
+  StatsEngine engine;
+  const std::vector<Sample> stream = MakeStream(5, 3000, Sec(1));
+  for (int f = 1; f <= 5; ++f) {
+    engine.RegisterFlow(f);
+  }
+  for (const Sample& s : stream) {
+    engine.RecordRtt(s.flow_id, s.at, s.value);
+    engine.RecordQueueDelay(s.flow_id, s.at, s.value / 3);
+    engine.RecordTaskCompletion(s.flow_id, s.at, s.value * 7);
+  }
   engine.FlushAll();
-  // Per-flow exact tier has everything; the engine-wide meters stay intentionally
-  // empty (readout merges per-flow sketches, which is what preserves byte-identity).
-  EXPECT_TRUE(engine.meter(kRtt).empty());
-  EXPECT_TRUE(engine.series(kRtt).windows.empty());
-  const FlowStats* fs = engine.flow(1);
-  ASSERT_NE(fs, nullptr);
-  EXPECT_TRUE(fs->retained);
-  EXPECT_EQ(fs->rtt_sketch.count(), 1);
-  EXPECT_EQ(fs->task_completions.size(), 1u);
+  QuantileSketch rtt, queue_delay, task_latency;
+  for (int f = 1; f <= 5; ++f) {
+    const FlowStats* fs = engine.flow(f);
+    ASSERT_NE(fs, nullptr);
+    EXPECT_TRUE(fs->retained);
+    rtt.Merge(fs->rtt_sketch);
+    queue_delay.Merge(fs->queue_delay_sketch);
+    task_latency.Merge(fs->task_latency_sketch);
+  }
+  EXPECT_EQ(engine.meter(kRtt).count(), static_cast<int64_t>(stream.size()));
+  EXPECT_EQ(engine.meter(kRtt), rtt);
+  EXPECT_EQ(engine.meter(kQueueDelay), queue_delay);
+  EXPECT_EQ(engine.meter(kTaskLatency), task_latency);
+  EXPECT_TRUE(engine.series(kRtt).windows.empty());  // No series without windows.
 }
 
 TEST(StatsEngineTest, WindowedWholeRunMatchesUnwindowedStream) {
-  // The same stream through a windowed engine and an unwindowed streaming engine must
+  // The same stream through a windowed engine and an unwindowed top-K engine must
   // yield the same whole-run distribution: sealing is just a reordering of additive
   // sketch merges, so the folded result is bit-identical, not merely close.
   StatsEngine windowed(Windowed(Ms(50)));
-  StatsEngine whole(Windowed(0, /*top_k=*/4));  // window == 0, still streaming mode.
+  StatsEngine whole(Windowed(0, /*top_k=*/4));  // window == 0, sampled retention.
   const std::vector<Sample> stream = MakeStream(7, 5000, Sec(1));
   for (int f = 1; f <= 7; ++f) {
     windowed.RegisterFlow(f);
