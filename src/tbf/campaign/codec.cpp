@@ -341,6 +341,19 @@ void Fields(IO& io, S& r) {
      r.ap_queue_delay_series, r.task_latency_series, r.goodput_series);
 }
 
+// The archive trailer, recomputed identically by every path that builds an archive.
+struct MergedSummary {
+  int64_t jobs = 0;
+  int64_t tasks_completed = 0;
+  int64_t mac_exchanges = 0;
+  double aggregate_bps_sum = 0.0;
+  stats::QuantileSketch rtt;
+  stats::QuantileSketch ap_queue_delay;
+  stats::QuantileSketch task_latency;
+
+  friend bool operator==(const MergedSummary&, const MergedSummary&) = default;
+};
+
 template <typename IO, Of<MergedSummary> S>
 void Fields(IO& io, S& m) {
   io(m.jobs, m.tasks_completed, m.mac_exchanges, m.aggregate_bps_sum, m.rtt,
@@ -493,14 +506,6 @@ void FoldInto(MergedSummary* merged, const scenario::Results& r) {
 
 }  // namespace
 
-MergedSummary MergeResults(const std::vector<scenario::Results>& results) {
-  MergedSummary merged;
-  for (const scenario::Results& r : results) {
-    FoldInto(&merged, r);
-  }
-  return merged;
-}
-
 std::string EncodeArchive(const std::vector<std::string>& result_blobs) {
   // One decoded Results is live at a time: each blob is validated and folded into
   // the trailer as soon as it decodes.
@@ -526,10 +531,7 @@ std::string EncodeArchive(const std::vector<std::string>& result_blobs) {
   return w.Take();
 }
 
-namespace {
-
-bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>* out,
-                           MergedSummary* summary) {
+bool DecodeArchive(std::string_view data, std::vector<scenario::Results>* out) {
   ByteReader r(data);
   uint32_t magic = 0;
   uint32_t version = 0;
@@ -549,12 +551,10 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
     return false;
   }
   const uint32_t jobs = r.Count(kMaxArchiveJobs);
+  // Each job frame is a length, a CRC, and at least a magic and an empty Results.
+  const size_t min_frame = 12 + MinWireBytes<scenario::Results>();
   std::vector<scenario::Results> results;
-  if (out != nullptr) {
-    // Each job frame is a length, a CRC, and at least a magic and an empty Results.
-    const size_t min_frame = 12 + MinWireBytes<scenario::Results>();
-    results.reserve(std::min<size_t>(jobs, r.remaining().size() / min_frame));
-  }
+  results.reserve(std::min<size_t>(jobs, r.remaining().size() / min_frame));
   MergedSummary folded;
   for (uint32_t i = 0; i < jobs && r.ok(); ++i) {
     uint32_t len = 0;
@@ -572,9 +572,7 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
       return false;
     }
     FoldInto(&folded, decoded);
-    if (out != nullptr) {
-      results.push_back(std::move(decoded));
-    }
+    results.push_back(std::move(decoded));
     r.Advance(len);
   }
   MergedSummary merged;
@@ -585,23 +583,8 @@ bool DecodeArchiveInternal(std::string_view data, std::vector<scenario::Results>
   if (merged != folded) {
     return false;  // Trailer must agree with the blobs it summarizes.
   }
-  if (out != nullptr) {
-    *out = std::move(results);
-  }
-  if (summary != nullptr) {
-    *summary = std::move(merged);
-  }
+  *out = std::move(results);
   return true;
-}
-
-}  // namespace
-
-bool DecodeArchive(std::string_view data, std::vector<scenario::Results>* out) {
-  return DecodeArchiveInternal(data, out, nullptr);
-}
-
-bool DecodeArchiveSummary(std::string_view data, MergedSummary* out) {
-  return DecodeArchiveInternal(data, nullptr, out);
 }
 
 }  // namespace tbf::campaign

@@ -63,27 +63,11 @@ bool DecodeResults(std::string_view data, scenario::Results* out);
 // be EncodeResults output for job i; the trailer is recomputed from the blobs, so two
 // archives built from equal blob sequences are byte-identical however the blobs were
 // produced (serial in-process, distributed, or resumed).
-// DecodeArchive/DecodeArchiveSummary return false on corrupt or truncated input, but
-// throw CampaignError for a structurally sound archive whose version predates the
+// DecodeArchive returns false on corrupt or truncated input, or on a trailer that does
+// not fold from the blobs, but throws CampaignError for a structurally sound archive whose version predates the
 // windowed stats format (the message names the version found).
 std::string EncodeArchive(const std::vector<std::string>& result_blobs);
 bool DecodeArchive(std::string_view data, std::vector<scenario::Results>* out);
-
-// The merged trailer, recomputed identically by every path that builds an archive.
-struct MergedSummary {
-  int64_t jobs = 0;
-  int64_t tasks_completed = 0;
-  int64_t mac_exchanges = 0;
-  double aggregate_bps_sum = 0.0;
-  stats::QuantileSketch rtt;
-  stats::QuantileSketch ap_queue_delay;
-  stats::QuantileSketch task_latency;
-
-  friend bool operator==(const MergedSummary&, const MergedSummary&) = default;
-};
-
-MergedSummary MergeResults(const std::vector<scenario::Results>& results);
-bool DecodeArchiveSummary(std::string_view data, MergedSummary* out);
 
 }  // namespace tbf::campaign
 

@@ -533,18 +533,6 @@ std::string Coordinator::EncodeArchiveBytes() const {
   return EncodeArchive(result_blobs_);
 }
 
-std::vector<scenario::Results> Coordinator::DecodedResults() const {
-  TBF_CHECK(AllJobsDone());
-  std::vector<scenario::Results> out;
-  out.reserve(jobs_.size());
-  for (const std::string& blob : result_blobs_) {
-    scenario::Results results;
-    TBF_CHECK(DecodeResults(blob, &results));
-    out.push_back(std::move(results));
-  }
-  return out;
-}
-
 std::string RunSerialArchive(const Manifest& manifest) {
   if (std::string err = ValidateManifest(manifest); !err.empty()) {
     throw CampaignError("invalid manifest: " + err);

@@ -97,7 +97,6 @@ class Coordinator {
 
   // Valid after Run() returned true.
   std::string EncodeArchiveBytes() const;
-  std::vector<scenario::Results> DecodedResults() const;
 
  private:
   using Clock = std::chrono::steady_clock;

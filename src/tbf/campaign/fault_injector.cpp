@@ -69,20 +69,4 @@ void FaultInjector::Truncate(std::string* payload, uint64_t key) {
   payload->resize(keep);
 }
 
-const char* FaultName(FaultInjector::Fault fault) {
-  switch (fault) {
-    case FaultInjector::Fault::kNone:
-      return "none";
-    case FaultInjector::Fault::kCrash:
-      return "crash";
-    case FaultInjector::Fault::kHang:
-      return "hang";
-    case FaultInjector::Fault::kCorrupt:
-      return "corrupt";
-    case FaultInjector::Fault::kTruncate:
-      return "truncate";
-  }
-  return "?";
-}
-
 }  // namespace tbf::campaign

@@ -66,8 +66,6 @@ class FaultInjector {
   int injected_ = 0;
 };
 
-const char* FaultName(FaultInjector::Fault fault);
-
 }  // namespace tbf::campaign
 
 #endif  // TBF_CAMPAIGN_FAULT_INJECTOR_H_

@@ -58,7 +58,7 @@ class Demux {
         return;
       }
     }
-    TBF_LOG(kDebug) << "no handler at node " << node << " for flow " << flow_id;
+    // No endpoint for (node, flow_id): the packet is dropped.
   }
 
  private:

@@ -1,7 +1,5 @@
 #include "tbf/phy/rates.h"
 
-#include "tbf/util/logging.h"
-
 namespace tbf::phy {
 namespace {
 

@@ -18,15 +18,6 @@ TimeNs MacTimings::Eifs() const { return sifs + AckAirtime(WifiRate::k1Mbps) + D
 
 MacTimings MixedModeTimings() { return MacTimings{}; }
 
-MacTimings PureOfdmTimings() {
-  MacTimings t;
-  t.slot = Us(9);
-  t.sifs = Us(10);
-  t.cw_min = 15;
-  t.cw_max = 1023;
-  return t;
-}
-
 TimeNs FrameAirtime(int mac_frame_bytes, WifiRate rate) {
   const RateInfo& info = GetRateInfo(rate);
   if (info.modulation == Modulation::kDsss) {

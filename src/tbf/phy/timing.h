@@ -30,9 +30,6 @@ struct MacTimings {
 // The 802.11b-compatible profile (also used for mixed b/g cells).
 MacTimings MixedModeTimings();
 
-// Pure 802.11g cell (9 us slots, CWmin 15).
-MacTimings PureOfdmTimings();
-
 // MAC framing overhead added to a network-layer packet: 24-byte MAC header + 4-byte FCS
 // + 8-byte LLC/SNAP encapsulation.
 inline constexpr int kMacDataOverheadBytes = 36;

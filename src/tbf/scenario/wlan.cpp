@@ -82,10 +82,6 @@ FlowSpec MakeTraceReplaySpec(const trace::ReplayFlow& flow, Transport transport)
   return spec;
 }
 
-FlowSpec& Wlan::AddTraceReplay(const trace::ReplayFlow& flow, Transport transport) {
-  return AddFlow(MakeTraceReplaySpec(flow, transport));
-}
-
 namespace {
 
 // Appends printf-free formatted context for one flow's diagnostic.

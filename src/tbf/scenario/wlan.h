@@ -105,8 +105,8 @@ struct FlowSpec {
 };
 
 // Converts a recovered trace flow into a kTraceReplay FlowSpec - the one place the
-// ReplayFlow -> FlowSpec mapping lives, shared by Wlan::AddTraceReplay and the
-// declarative ScenarioJob builders in benches/examples.
+// ReplayFlow -> FlowSpec mapping lives. Pass it to Wlan::AddFlow or a ScenarioJob; the
+// station for `flow.node` is declared separately.
 FlowSpec MakeTraceReplaySpec(const trace::ReplayFlow& flow,
                              Transport transport = Transport::kTcp);
 
@@ -172,10 +172,6 @@ class Wlan {
   FlowSpec& AddWebOnOff(NodeId client, Direction direction);
   // `count` finite TCP transfers of `bytes` each, back to back.
   FlowSpec& AddTaskSequence(NodeId client, Direction direction, int64_t bytes, int count);
-  // Replays one recovered trace flow (see trace::TraceReplaySource); the station for
-  // `flow.node` must be declared separately. Direction comes from the trace record.
-  FlowSpec& AddTraceReplay(const trace::ReplayFlow& flow,
-                           Transport transport = Transport::kTcp);
 
   // Constructs the full stack without running. Call when pre-run configuration of live
   // components is needed (e.g. TBR weights); Run() builds implicitly otherwise.

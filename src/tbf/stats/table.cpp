@@ -42,22 +42,6 @@ void Table::Print(std::ostream& out) const {
   print_sep();
 }
 
-void Table::PrintCsv(std::ostream& out) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) {
-        out << ",";
-      }
-      out << cells[c];
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) {
-    emit(row);
-  }
-}
-
 std::string Table::Num(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

@@ -1,4 +1,4 @@
-// Fixed-width console table and CSV output for bench harnesses.
+// Fixed-width console table for bench harnesses.
 #ifndef TBF_STATS_TABLE_H_
 #define TBF_STATS_TABLE_H_
 
@@ -15,7 +15,6 @@ class Table {
   void AddRow(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }
 
   void Print(std::ostream& out = std::cout) const;
-  void PrintCsv(std::ostream& out) const;
 
   // Formats a double with fixed precision (no locale surprises).
   static std::string Num(double value, int precision = 3);

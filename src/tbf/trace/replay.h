@@ -1,10 +1,10 @@
 // Trace replay: turn a frame-level trace::TraceLog into a scenario workload.
 //
-// The generators (and any externally captured trace loaded via TraceLog::Load) produce
-// per-frame records; an application-level replay wants *transfers* - "node n started
-// pulling B bytes at time t". TraceReplaySource recovers that structure the way trace
-// studies do: per (node, direction), frames closer together than a gap threshold belong
-// to one transfer, a longer silence starts the next. scenario::Wlan replays the result
+// The generators (and the TraceSniffer on a live medium) produce per-frame records; an
+// application-level replay wants *transfers* - "node n started pulling B bytes at time
+// t". TraceReplaySource recovers that structure the way trace studies do: per (node,
+// direction), frames closer together than a gap threshold belong to one transfer, a
+// longer silence starts the next. scenario::Wlan replays the result
 // with its restartable finite-task sources (FlowSpec model kTraceReplay): each transfer
 // launches at its logged offset - or when the node's previous transfer completes,
 // whichever is later (a cell slower than the capture backlogs the user rather than

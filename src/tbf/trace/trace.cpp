@@ -1,44 +1,8 @@
 #include "tbf/trace/trace.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <string>
 
 namespace tbf::trace {
-
-void TraceLog::Save(std::ostream& out) const {
-  for (const TraceRecord& r : records_) {
-    out << r.time << ' ' << r.node << ' ' << (r.downlink ? 'D' : 'U') << ' ' << r.bytes
-        << ' ' << static_cast<int>(r.rate) << ' ' << (r.retry ? 1 : 0) << ' '
-        << (r.success ? 1 : 0) << '\n';
-  }
-}
-
-TraceLog TraceLog::Load(std::istream& in) {
-  TraceLog log;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream fields(line);
-    TraceRecord r;
-    char dir = 'U';
-    int rate = 0;
-    int retry = 0;
-    int success = 0;
-    if (fields >> r.time >> r.node >> dir >> r.bytes >> rate >> retry >> success) {
-      r.downlink = dir == 'D';
-      r.rate = static_cast<phy::WifiRate>(rate);
-      r.retry = retry != 0;
-      r.success = success != 0;
-      log.Add(r);
-    }
-  }
-  return log;
-}
 
 std::map<phy::WifiRate, double> RateByteFractions(const TraceLog& log) {
   std::map<phy::WifiRate, int64_t> bytes;

@@ -33,11 +33,6 @@ class TraceLog {
   bool empty() const { return records_.empty(); }
   void Clear() { records_.clear(); }
 
-  // Text serialization (one record per line: time_ns node dir bytes rate retry success),
-  // so externally captured traces can be analyzed and generated traces archived.
-  void Save(std::ostream& out) const;
-  static TraceLog Load(std::istream& in);
-
  private:
   std::vector<TraceRecord> records_;
 };

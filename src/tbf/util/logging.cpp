@@ -1,66 +1,8 @@
 #include "tbf/util/logging.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
 
-namespace tbf {
-namespace {
-
-// The level is read on every TBF_LOG site from any sweep worker thread; relaxed is
-// enough (it only gates output, it does not order data).
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-
-// Serializes whole formatted lines to the sink so concurrent scenario workers cannot
-// interleave characters within a line.
-std::mutex& SinkMutex() {
-  static std::mutex mu;
-  return mu;
-}
-
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-void SetLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-const char* LogLevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kTrace:
-      return "TRACE";
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kNone:
-      return "NONE";
-  }
-  return "?";
-}
-
-namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {
-  const char* base = file;
-  for (const char* p = file; *p != '\0'; ++p) {
-    if (*p == '/') {
-      base = p + 1;
-    }
-  }
-  stream_ << "[" << LogLevelName(level) << " " << base << ":" << line << "] ";
-}
-
-LogMessage::~LogMessage() {
-  stream_ << "\n";
-  const std::string line = stream_.str();
-  std::lock_guard<std::mutex> lock(SinkMutex());
-  std::cerr << line;
-  (void)level_;
-}
+namespace tbf::internal {
 
 CheckFailure::CheckFailure(const char* cond, const char* file, int line) {
   std::cerr << "[CHECK failed] " << cond << " at " << file << ":" << line << ": ";
@@ -71,5 +13,4 @@ CheckFailure::~CheckFailure() {
   std::abort();
 }
 
-}  // namespace internal
-}  // namespace tbf
+}  // namespace tbf::internal

@@ -1,53 +1,9 @@
-// Minimal leveled logging with a global severity threshold.
-//
-// The simulator is deterministic and heavily tested, so logging is used mostly for scenario
-// debugging; benches run at kWarning to keep output clean.
-//
-// Thread safety (required by the sweep runner, which logs from worker threads): the
-// level is an atomic, and each LogMessage assembles its full line privately before
-// emitting it under a sink mutex, so concurrent scenarios never interleave within a
-// line. SetLogLevel is safe to call at any time but is a process-wide knob - set it
-// before launching a sweep rather than from inside jobs.
+// Fatal invariant checks: TBF_CHECK(cond) << "context"; prints the failed condition,
+// its source location and the streamed context to stderr, then aborts.
 #ifndef TBF_UTIL_LOGGING_H_
 #define TBF_UTIL_LOGGING_H_
 
 #include <iostream>
-#include <sstream>
-#include <string>
-
-namespace tbf {
-
-enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarning = 3, kError = 4, kNone = 5 };
-
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-const char* LogLevelName(LogLevel level);
-
-namespace internal {
-
-// Collects one log statement and flushes it (with level tag) on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  std::ostream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-}  // namespace internal
-}  // namespace tbf
-
-#define TBF_LOG(level)                                          \
-  if (::tbf::LogLevel::level < ::tbf::GetLogLevel()) {          \
-  } else                                                        \
-    ::tbf::internal::LogMessage(::tbf::LogLevel::level, __FILE__, __LINE__).stream()
 
 #define TBF_CHECK(cond)                                                               \
   if (cond) {                                                                         \

@@ -247,11 +247,6 @@ TEST(CampaignCodecTest, ArchiveRoundTripsAndValidatesTrailer) {
   ASSERT_TRUE(DecodeArchive(archive, &decoded));
   EXPECT_EQ(decoded, expected);
 
-  MergedSummary summary;
-  ASSERT_TRUE(DecodeArchiveSummary(archive, &summary));
-  EXPECT_EQ(summary, MergeResults(expected));
-  EXPECT_EQ(summary.jobs, 6);
-
   // A flipped byte anywhere invalidates the archive (per-blob CRC or trailer).
   for (size_t pos : {size_t{4}, archive.size() / 2, archive.size() - 3}) {
     std::string bad = archive;
@@ -262,15 +257,14 @@ TEST(CampaignCodecTest, ArchiveRoundTripsAndValidatesTrailer) {
 
   // A well-formed trailer that summarizes other blobs is rejected too: splice job 1's
   // one-job trailer onto job 0's one-job archive (12-byte header, 8-byte frame).
-  ASSERT_NE(MergeResults({expected[0]}), MergeResults({expected[1]}));
   const std::string first = EncodeArchive({blobs[0]});
   const std::string second = EncodeArchive({blobs[1]});
-  const std::string spliced =
-      first.substr(0, 20 + blobs[0].size()) + second.substr(20 + blobs[1].size());
+  const std::string second_trailer = second.substr(20 + blobs[1].size());
+  ASSERT_NE(first.substr(20 + blobs[0].size()), second_trailer);
+  const std::string spliced = first.substr(0, 20 + blobs[0].size()) + second_trailer;
   std::vector<scenario::Results> out;
   ASSERT_TRUE(DecodeArchive(first, &out));
   EXPECT_FALSE(DecodeArchive(spliced, &out));
-  EXPECT_FALSE(DecodeArchiveSummary(spliced, &summary));
 }
 
 TEST(CampaignCodecTest, WindowedResultsRoundTripExactly) {
@@ -423,8 +417,6 @@ TEST(CampaignCodecTest, StaleArchiveVersionThrowsNamingTheVersion) {
   } catch (const CampaignError& e) {
     EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos) << e.what();
   }
-  MergedSummary summary;
-  EXPECT_THROW(DecodeArchiveSummary(archive, &summary), CampaignError);
 
   // A *future* version is indistinguishable from corruption: false, not a throw.
   archive[4] = 4;
@@ -720,7 +712,9 @@ TEST(CampaignServiceTest, PureLocalModeMatchesSerial) {
   ASSERT_TRUE(coordinator.Run());
   EXPECT_EQ(coordinator.EncodeArchiveBytes(), RunSerialArchive(manifest));
   EXPECT_EQ(coordinator.stats().local_runs, 30);
-  EXPECT_EQ(coordinator.DecodedResults().size(), 30u);
+  std::vector<scenario::Results> decoded;
+  ASSERT_TRUE(DecodeArchive(coordinator.EncodeArchiveBytes(), &decoded));
+  EXPECT_EQ(decoded.size(), 30u);
 }
 
 TEST(CampaignServiceTest, LocalFallbackServesCampaignWithNoWorkers) {

@@ -172,8 +172,12 @@ TEST(MacEdgeTest, PureOfdmTimingsRunFaster) {
     sim.RunUntil(Sec(2));
     return tx.successes_;
   };
-  // 9 us slots + CWmin 15 beat 20 us slots + CWmin 31 at identical PHY rate.
-  EXPECT_GT(run(phy::PureOfdmTimings()), run(phy::MixedModeTimings()) * 11 / 10);
+  // A pure 802.11g cell's 9 us slots + CWmin 15 beat 20 us slots + CWmin 31 at
+  // identical PHY rate.
+  phy::MacTimings pure_ofdm;
+  pure_ofdm.slot = Us(9);
+  pure_ofdm.cw_min = 15;
+  EXPECT_GT(run(pure_ofdm), run(phy::MixedModeTimings()) * 11 / 10);
 }
 
 TEST(MacEdgeTest, ManyStationsStillFair) {

@@ -104,13 +104,6 @@ TEST(TimingTest, InterframeSpaces) {
   EXPECT_GT(t.Eifs(), t.Difs());
 }
 
-TEST(TimingTest, PureOfdmProfile) {
-  const MacTimings t = PureOfdmTimings();
-  EXPECT_EQ(t.slot, Us(9));
-  EXPECT_EQ(t.cw_min, 15);
-  EXPECT_EQ(t.Difs(), Us(28));
-}
-
 TEST(TimingTest, ExchangeAirtimeComposition) {
   const MacTimings t = MixedModeTimings();
   const TimeNs exchange = DataExchangeAirtime(1542, WifiRate::k11Mbps, t);

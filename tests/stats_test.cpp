@@ -78,14 +78,6 @@ TEST(TableTest, AlignsColumns) {
   EXPECT_NE(s.find("longer cell"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table table({"a", "b"});
-  table.AddRow({"1", "2"});
-  std::ostringstream out;
-  table.PrintCsv(out);
-  EXPECT_EQ(out.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, MissingCellsRenderEmpty) {
   Table table({"a", "b", "c"});
   table.AddRow({"only one"});

@@ -1,5 +1,5 @@
 // SweepRunner: ordering, determinism (serial vs parallel bit-identical Results across
-// pool sizes), the declarative job form, and the audited shared state (logging, model
+// pool sizes), the declarative job form, and the audited shared state (model and phy
 // tables) under concurrent scenarios. This binary is also the payload of the TSan CTest
 // configuration (-DTBF_SANITIZE=thread), which turns any latent data race in the shared
 // layers into a hard failure.
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "tbf/model/baseline.h"
-#include "tbf/util/logging.h"
 
 namespace tbf {
 namespace {
@@ -142,15 +141,14 @@ TEST(SweepRunnerTest, ConfigureHookRunsOnBuiltScenario) {
   EXPECT_GT(out[0].aggregate_bps, 0.0);
 }
 
-// Audited shared state: concurrent scenarios hit the logging level, the paper-table
-// statics, and the phy tables. Under -DTBF_SANITIZE=thread this is the race detector's
+// Audited shared state: concurrent scenarios hit the paper-table statics and the phy
+// tables. Under -DTBF_SANITIZE=thread this is the race detector's
 // hunting ground; in a plain build it still checks the table contents are stable.
 TEST(SweepRunnerTest, SharedImmutableStateSurvivesConcurrentReaders) {
   SweepRunner runner(4);
   std::vector<std::function<double()>> jobs;
   for (int i = 0; i < 16; ++i) {
     jobs.push_back([] {
-      TBF_LOG(kDebug) << "sweep worker probe";  // Exercises the level atomic + sink.
       double sum = 0.0;
       for (const auto& [rate, beta] : model::PaperTable2Baselines()) {
         sum += beta + phy::GetRateInfo(rate).bps;

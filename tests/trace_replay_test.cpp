@@ -108,7 +108,7 @@ TEST(TraceReplayTest, ReplayDeliversExactlyLoggedBytesPerFlow) {
     wlan.AddStation(id, phy::WifiRate::k11Mbps);
   }
   for (const trace::ReplayFlow& flow : source.flows()) {
-    wlan.AddTraceReplay(flow);
+    wlan.AddFlow(MakeTraceReplaySpec(flow));
   }
   const Results res = wlan.Run();
 
@@ -157,7 +157,8 @@ TEST(TraceReplayTest, UdpReplayDeliversExactlyLoggedBytes) {
 
   Wlan wlan(ReplayCell(Sec(10)));
   wlan.AddStation(1, phy::WifiRate::k11Mbps);
-  FlowSpec& spec = wlan.AddTraceReplay(source.flows().front(), Transport::kUdp);
+  FlowSpec& spec =
+      wlan.AddFlow(MakeTraceReplaySpec(source.flows().front(), Transport::kUdp));
   spec.udp_rate = Mbps(2);
   const Results res = wlan.Run();
   ASSERT_EQ(res.flows.size(), 1u);
@@ -185,7 +186,7 @@ TEST(TraceReplayTest, CompletionTimesStaggerAndWarmupIndependent) {
     config.warmup = warmup;
     Wlan wlan(config);
     wlan.AddStation(1, phy::WifiRate::k11Mbps);
-    wlan.AddTraceReplay(source.flows().front()).start = start;
+    wlan.AddFlow(MakeTraceReplaySpec(source.flows().front())).start = start;
     const Results res = wlan.Run();
     EXPECT_EQ(res.flows.size(), 1u);
     return res.flows.front().task_completions;

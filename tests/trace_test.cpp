@@ -143,41 +143,6 @@ TEST(ResidenceGeneratorTest, HeavyUserMovesMostBytes) {
   EXPECT_EQ(heaviest, 1);  // The boosted user dominates total volume, as at Whittemore.
 }
 
-TEST(TraceIoTest, SaveLoadRoundTrip) {
-  TraceLog log;
-  log.Add(Record(Ms(1), 1, 1536, phy::WifiRate::k11Mbps, true));
-  log.Add(Record(Ms(2), 2, 700, phy::WifiRate::k1Mbps, false));
-  TraceRecord retried = Record(Ms(3), 3, 1536, phy::WifiRate::k5_5Mbps, true);
-  retried.retry = true;
-  retried.downlink = true;
-  log.Add(retried);
-
-  std::stringstream buffer;
-  log.Save(buffer);
-  const TraceLog loaded = TraceLog::Load(buffer);
-
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_EQ(loaded.records()[0].time, Ms(1));
-  EXPECT_EQ(loaded.records()[0].rate, phy::WifiRate::k11Mbps);
-  EXPECT_FALSE(loaded.records()[1].success);
-  EXPECT_TRUE(loaded.records()[2].retry);
-  EXPECT_TRUE(loaded.records()[2].downlink);
-  // Analyzers agree on original and round-tripped logs.
-  EXPECT_EQ(RateByteFractions(log), RateByteFractions(loaded));
-}
-
-TEST(TraceIoTest, LoadSkipsCommentsAndGarbage) {
-  std::stringstream in("# header comment\n"
-                       "1000000 1 D 1536 3 0 1\n"
-                       "not a record\n"
-                       "2000000 2 U 700 0 1 0\n");
-  const TraceLog loaded = TraceLog::Load(in);
-  ASSERT_EQ(loaded.size(), 2u);
-  EXPECT_EQ(loaded.records()[0].node, 1);
-  EXPECT_TRUE(loaded.records()[0].downlink);
-  EXPECT_EQ(loaded.records()[1].rate, phy::WifiRate::k1Mbps);
-}
-
 TEST(SnifferTest, RecordsFromLiveMedium) {
   sim::Simulator sim;
   sim::Rng rng(1);
