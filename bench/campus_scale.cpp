@@ -9,7 +9,7 @@
 //
 // Metrology runs in streaming mode by default (windowed series + sampled per-flow
 // retention, stats::StatsEngine), which is what bounds readout memory at 64 APs and
-// beyond. TBF_CAMPUS_EXACT=1 reverts to the legacy exact readout - the A/B knob
+// beyond. TBF_CAMPUS_EXACT=1 switches to exact retention in one window - the A/B knob
 // BENCH_pr8.json uses to demonstrate the readout-memory win on the same build.
 //
 // The paper's single-cell experiments stop at one AP; this is the scale-out direction:
@@ -99,7 +99,7 @@ int main() {
               "scale-out of the paper's single-cell testbed: one BSS shard per AP, "
               "lock-step windows bounded by the backbone latency");
   std::printf("metrology: %s\n\n",
-              exact ? "exact (legacy readout, TBF_CAMPUS_EXACT=1)"
+              exact ? "exact retention (TBF_CAMPUS_EXACT=1)"
                     : "streaming (500 ms windows, top-4 + 1-in-32 sampled retention)");
 
   std::vector<CampusRow> rows = {
