@@ -64,8 +64,9 @@ bool DecodeResults(std::string_view data, scenario::Results* out);
 // archives built from equal blob sequences are byte-identical however the blobs were
 // produced (serial in-process, distributed, or resumed).
 // DecodeArchive returns false on corrupt or truncated input, or on a trailer that does
-// not fold from the blobs, but throws CampaignError for a structurally sound archive whose version predates the
-// windowed stats format (the message names the version found).
+// not fold from the blobs, but throws CampaignError for a structurally sound archive
+// whose version predates the windowed stats format (the message names the version
+// found).
 std::string EncodeArchive(const std::vector<std::string>& result_blobs);
 bool DecodeArchive(std::string_view data, std::vector<scenario::Results>* out);
 
