@@ -142,8 +142,8 @@ TEST(SweepRunnerTest, ConfigureHookRunsOnBuiltScenario) {
 }
 
 // Audited shared state: concurrent scenarios hit the paper-table statics and the phy
-// tables. Under -DTBF_SANITIZE=thread this is the race detector's
-// hunting ground; in a plain build it still checks the table contents are stable.
+// tables. Under -DTBF_SANITIZE=thread this is the race detector's hunting ground; in a
+// plain build it still checks the table contents are stable.
 TEST(SweepRunnerTest, SharedImmutableStateSurvivesConcurrentReaders) {
   SweepRunner runner(4);
   std::vector<std::function<double()>> jobs;
