@@ -21,11 +21,22 @@ size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
   if (known >= 0) {
     return static_cast<size_t>(known);
   }
+  if (fill_ == nullptr) {
+    // The timers start with the first client: the tick, then the rate event.
+    fill_ = sim_->StartTicker(config_.fill_period, [this] { FillEvent(); });
+    if (config_.enable_rate_adjust) {
+      if (config_.mode == TbrMode::kFastEwma) {
+        sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
+      } else {
+        sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
+      }
+    }
+  }
   const size_t slot = clients_.size();
   slot_of_[static_cast<size_t>(client)] = static_cast<int32_t>(slot);
   ClientQueue& q = queues_.emplace_back();
   q.tokens = config_.initial_tokens;
-  q.synced = ticks_;
+  q.synced = Ticks();
   ClientState& st = clients_.emplace_back();
   st.id = client;
   total_weight_ += st.weight;
@@ -41,20 +52,9 @@ size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
     }
     st.rate = share;
     refill_due_ = true;
+    Rearm();
   } else {
     RecomputeFairRates();
-  }
-
-  if (!timers_started_) {
-    timers_started_ = true;
-    sim_->Schedule(config_.fill_period, [this] { FillEvent(); });
-    if (config_.enable_rate_adjust) {
-      if (config_.mode == TbrMode::kFastEwma) {
-        sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
-      } else {
-        sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
-      }
-    }
   }
   return slot;
 }
@@ -67,6 +67,7 @@ void TimeBasedRegulator::RecomputeFairRates() {
     st.rate = st.weight / total_weight_;
   }
   refill_due_ = true;
+  Rearm();
 }
 
 void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
@@ -95,6 +96,7 @@ void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
     other.rate /= sum;
   }
   refill_due_ = true;
+  Rearm();
 }
 
 bool TimeBasedRegulator::Enqueue(net::PacketPtr packet) {
@@ -107,7 +109,7 @@ bool TimeBasedRegulator::Enqueue(net::PacketPtr packet) {
   const bool was_empty = q.packets.empty();
   q.packets.PushBack(std::move(packet));
   if (was_empty) {
-    Sync(q);
+    Sync(q, Ticks());
     Rewake(slot);
   }
   return true;
@@ -120,13 +122,14 @@ net::PacketPtr TimeBasedRegulator::Dequeue() {
   }
   // Round-robin over queues with positive channel-time credit (Fig. 6, MACTXEVENT).
   // An eligible client is not in the wake heap, and popping leaves it out.
+  const int64_t tick = Ticks();
   for (size_t i = 0; i < n; ++i) {
     const size_t idx = next_ + i < n ? next_ + i : next_ + i - n;
     ClientQueue& q = queues_[idx];
     if (q.packets.empty()) {
       continue;
     }
-    Sync(q);
+    Sync(q, tick);
     if (q.tokens > 0) {
       next_ = idx + 1 < n ? idx + 1 : 0;
       return q.packets.PopFront();
@@ -204,7 +207,7 @@ void TimeBasedRegulator::Charge(NodeId client, TimeNs occupancy) {
   }
   const auto slot = static_cast<size_t>(found);
   ClientQueue& q = queues_[slot];
-  Sync(q);
+  Sync(q, Ticks());
   q.tokens -= occupancy;
   clients_[slot].actual += occupancy;
   Rewake(slot);
@@ -239,22 +242,22 @@ void TimeBasedRegulator::FillEvent() {
   // Each tick is fill_period after the last, so it adds rate * fill_period to every
   // bucket; TokensNow() folds that in when a client is next touched. Only the clients
   // this tick lifts above zero while backlogged need the MAC's attention now.
+  const int64_t tick = Ticks();
   if (refill_due_) {
-    Refill();
+    Refill(tick - 1);  // This tick already adds the new fills.
   }
-  ++ticks_;
   bool became_eligible = false;
-  while (!wake_.empty() && wake_.front().tick <= ticks_) {
+  while (!wake_.empty() && wake_.front().tick <= tick) {
     WakeErase(0);
     became_eligible = true;
   }
   if (became_eligible) {
     NotifyBacklog();
   }
-  sim_->Schedule(config_.fill_period, [this] { FillEvent(); });
+  Rearm();
 }
 
-void TimeBasedRegulator::Refill() {
+void TimeBasedRegulator::Refill(int64_t tick) {
   // Rates moved since the last tick. Each client first takes the ticks it missed at
   // the fill they were filled at, then gets the fill of its new rate, and the wake
   // heap is rebuilt on the new keys: one pass, before the first tick at the new rates.
@@ -265,13 +268,13 @@ void TimeBasedRegulator::Refill() {
   wake_.reserve(queues_.size());
   for (size_t slot = 0; slot < queues_.size(); ++slot) {
     ClientQueue& q = queues_[slot];
-    Sync(q);
+    Sync(q, tick);
     q.fill = static_cast<TimeNs>(clients_[slot].rate *
                                  static_cast<double>(config_.fill_period));
     q.wake_pos = -1;
     if (Waits(q)) {
       q.wake_pos = static_cast<int32_t>(wake_.size());
-      wake_.push_back({WakeTick(q), static_cast<int32_t>(slot)});
+      wake_.push_back({WakeTick(q, tick), static_cast<int32_t>(slot)});
     }
   }
   for (size_t pos = wake_.size() / 2; pos-- > 0;) {
@@ -279,18 +282,29 @@ void TimeBasedRegulator::Refill() {
   }
 }
 
+void TimeBasedRegulator::Rearm() {
+  if (refill_due_) {
+    fill_->Arm(Ticks() + 1);
+  } else if (!wake_.empty()) {
+    fill_->Arm(wake_.front().tick);
+  } else {
+    fill_->Disarm();
+  }
+}
+
 void TimeBasedRegulator::Rewake(size_t slot) {
   if (refill_due_) {
-    return;  // Fills are stale; the coming tick's Refill() rebuilds the heap.
+    return;  // Fills are stale; the armed coming tick's Refill() rebuilds the heap.
   }
   const ClientQueue& q = queues_[slot];
   if (q.wake_pos >= 0) {
     WakeErase(static_cast<size_t>(q.wake_pos));
   }
   if (Waits(q)) {
-    wake_.push_back({WakeTick(q), static_cast<int32_t>(slot)});
+    wake_.push_back({WakeTick(q, Ticks()), static_cast<int32_t>(slot)});
     WakeSiftUp(wake_.size() - 1);
   }
+  Rearm();
 }
 
 void TimeBasedRegulator::WakeErase(size_t pos) {
@@ -432,6 +446,7 @@ void TimeBasedRegulator::AdjustRateEvent() {
     st.actual = 0;
   }
   refill_due_ = true;
+  Rearm();
   sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
 }
 
@@ -476,6 +491,7 @@ void TimeBasedRegulator::DemandEvent() {
     }
     refill_due_ = true;
     rates_adjusted_ = true;
+    Rearm();
   }
   sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
 }

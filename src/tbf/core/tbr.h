@@ -6,10 +6,13 @@
 //
 //   ASSOCIATEEVENT  -> OnAssociate()      creates queue_i, tokens_i, rate_i
 //   FILLEVENT       -> FillEvent()        tokens_i += dt * rate_i   (capped at bucket_i),
-//                                         folded in lazily: the tick only counts, and a
-//                                         client catches up on the ticks it missed when
-//                                         touched; a wake heap names the tick at which
-//                                         each backlogged, indebted client turns eligible
+//                                         folded in lazily: the tick is a sim::Ticker
+//                                         that only counts, and a client catches up on
+//                                         the ticks it missed when touched. FillEvent()
+//                                         runs only at armed ticks: the first after a
+//                                         rate change, and the earliest tick of a wake
+//                                         heap naming when each backlogged, indebted
+//                                         client turns eligible
 //   APPTXEVENT      -> Enqueue()          append packet to queue_i
 //   MACTXEVENT      -> Dequeue()          round-robin over queues with tokens_i > 0
 //   COMPLETEEVENT   -> OnTxComplete() /   tokens_i -= occupancy(p), actual_i += occupancy(p)
@@ -186,6 +189,7 @@ class TimeBasedRegulator : public ap::Qdisc {
     int32_t slot;
   };
 
+  // Runs at the ticks Rearm() armed; every other tick only counts.
   void FillEvent();
   void AdjustRateEvent();
   void DemandEvent();
@@ -196,30 +200,38 @@ class TimeBasedRegulator : public ap::Qdisc {
   void MaybePauseClient(size_t slot);
   bool DemandActive(size_t slot) const;
 
+  // Fill ticks passed so far. The ticker starts with the first association, so it
+  // exists wherever a client does.
+  int64_t Ticks() const { return fill_->count(); }
   // Lazy fill. Every tick adds the same fill >= 0 (rates are never negative) and
   // clamps at bucket_depth, so k missed ticks are exactly one add of k * fill, clamped.
-  TimeNs TokensNow(const ClientQueue& q) const {
-    const int64_t missed = ticks_ - q.synced;
+  TimeNs TokensAt(const ClientQueue& q, int64_t tick) const {
+    const int64_t missed = tick - q.synced;
     return missed > 0 ? std::min(config_.bucket_depth, q.tokens + missed * q.fill)
                       : q.tokens;
   }
-  void Sync(ClientQueue& q) {
-    if (q.synced != ticks_) {
-      q.tokens = TokensNow(q);
-      q.synced = ticks_;
+  TimeNs TokensNow(const ClientQueue& q) const { return TokensAt(q, Ticks()); }
+  void Sync(ClientQueue& q, int64_t tick) {
+    if (q.synced != tick) {
+      q.tokens = TokensAt(q, tick);
+      q.synced = tick;
     }
   }
-  // After rates change: syncs every client at its old fill, derives its new fill and
-  // rebuilds the wake heap, in one pass at the next tick (see refill_due_).
-  void Refill();
+  // After rates change: syncs every client to `tick` at its old fill, derives its new
+  // fill and rebuilds the wake heap, in one pass at the next tick (see refill_due_).
+  void Refill(int64_t tick);
+  // Arms the next tick while refill_due_ is set, else the wake heap's earliest, else
+  // none: the ticks at which FillEvent() has work. Runs after every change to either.
+  void Rearm();
 
   // Wake heap upkeep. Rewake() re-keys a synced client after its tokens or queue
   // changed: in the heap exactly while it is backlogged and waiting for the fill.
   bool Waits(const ClientQueue& q) const {
     return !q.packets.empty() && q.tokens <= 0 && q.fill > 0;
   }
-  int64_t WakeTick(const ClientQueue& q) const {
-    return ticks_ + (-q.tokens) / q.fill + 1;
+  // For a client synced to `tick`.
+  static int64_t WakeTick(const ClientQueue& q, int64_t tick) {
+    return tick + (-q.tokens) / q.fill + 1;
   }
   void Rewake(size_t slot);
   void WakeErase(size_t pos);
@@ -238,6 +250,7 @@ class TimeBasedRegulator : public ap::Qdisc {
   }
 
   sim::Simulator* sim_;
+  sim::Simulator::Ticker* fill_ = nullptr;  // Started at the first association.
   phy::MacTimings timings_;
   TbrConfig config_;
   size_t per_queue_limit_;
@@ -255,16 +268,14 @@ class TimeBasedRegulator : public ap::Qdisc {
   std::vector<ClientState*> adjust_under_;
   std::vector<ClientState*> adjust_full_;
   // Min-heap of waiting clients by wake tick; FILLEVENT pops the clients it lifts
-  // above zero, so a tick costs O(1 + clients that turn eligible).
+  // above zero, so an armed tick costs O(1 + clients that turn eligible).
   std::vector<Wake> wake_;
   size_t next_ = 0;
   double total_weight_ = 0.0;  // Cached sum of weights (invariant: > 0 once non-empty).
-  int64_t ticks_ = 0;          // FILLEVENTs fired so far.
   // Rates moved since fills were last derived. Fills only matter from the next tick
   // on, so every rate change just sets this and that tick's Refill() catches up; the
   // wake heap is stale until then.
   bool refill_due_ = false;
-  bool timers_started_ = false;
   // True once an adjust/demand event has moved any rate off the static fair split.
   // While false, (re)association keeps the exact legacy RecomputeFairRates() values;
   // afterwards late joiners renormalize proportionally instead of wiping the

@@ -111,7 +111,9 @@ uint32_t AwaitChange(const std::atomic<uint32_t>& word, uint32_t old) {
 //
 // Every kRecutWindows windows the coordinator re-cuts the bounds so each slice holds
 // about the same number of fired events (the core shard alone can do the work of many
-// cells). A cut only changes which thread advances a shard, never what it computes.
+// cells): queued events and armed ticks, as RunUntil counts them, not the unarmed
+// ticks it passes. A cut only changes which thread advances a shard, never what it
+// computes.
 class CampusSim::Pool {
  public:
   Pool(CampusSim* owner, int threads, size_t shards)

@@ -29,6 +29,29 @@
 // circular bitmap scan from bucket(now) finds the earliest bucket; after draining the
 // overflow of entries inside the horizon, any remaining overflow entry is in a strictly
 // later bucket than every wheel entry, so wheel-first pop order is globally correct.
+//
+// Tickers. A Ticker is a periodic tick that is never queued; it runs its callback only
+// at ticks its owner has armed, and every other tick costs the loop one compare. Its
+// ticks keep exactly the place in the event order that a self-rescheduling event
+// (`Schedule(period, f)` at start, and again as the callback's last act) would have:
+//   * StartTicker at time t0 takes one FIFO sequence number, as that Schedule call
+//     would; tick k falls at t0 + k * period.
+//   * Tick k sorts after every event scheduled before tick k - 1 passed and before
+//     every event scheduled after it: a tick takes its successor's sequence number as
+//     it passes, and an armed tick only after its callback has run, so events the
+//     callback schedules sort before the next tick.
+//   * The loop passes ticks lazily but at their place: before it fires an entry that
+//     sorts after the earliest pending tick, it passes the unarmed ticks ahead of that
+//     entry in O(1) - count += n, one fresh sequence number (nothing runs between them,
+//     so the numbers they would have taken one by one are never compared). An armed
+//     tick is a candidate like a queued entry: when it sorts first (or nothing queued is
+//     left within the bound) the loop sets now to its time, counts it and runs it.
+//   * RunUntil(until) passes every tick at or before `until` before it returns, so
+//     events injected between calls sort after them. Several tickers on one Simulator
+//     pass in (time, sequence) order.
+//   * Ticks are not events: pending_events() and IsIdle() see queued events only, and
+//     the loop's return value counts queued events fired plus armed ticks run.
+// Nothing is allocated until a ticker starts, and nothing in steady state.
 #ifndef TBF_SIM_SIMULATOR_H_
 #define TBF_SIM_SIMULATOR_H_
 
@@ -40,6 +63,7 @@
 #include <vector>
 
 #include "tbf/sim/inline_callback.h"
+#include "tbf/util/logging.h"
 #include "tbf/util/units.h"
 
 namespace tbf::sim {
@@ -53,11 +77,55 @@ class Simulator {
  public:
   using Callback = InlineCallback;
 
+  // A periodic tick owned by the Simulator (see the header comment). Its address is
+  // stable for the Simulator's lifetime, also when other tickers start.
+  class Ticker {
+   public:
+    Ticker(const Ticker&) = delete;
+    Ticker& operator=(const Ticker&) = delete;
+
+    // Ticks passed so far; the one running (if any) included.
+    int64_t count() const { return count_; }
+    // Runs the callback at tick `tick`, or at the next one if `tick` has passed. Running
+    // disarms the ticker; the callback re-arms it to run again.
+    void Arm(int64_t tick) { armed_ = tick; }
+    void Disarm() { armed_ = kUnarmed; }
+
+   private:
+    friend class Simulator;
+    static constexpr int64_t kUnarmed = INT64_MAX;
+
+    Ticker(TimeNs when, uint64_t seq, TimeNs period)
+        : when_(when), seq_(seq), period_(period) {}
+
+    // Ticks before the first armed one; <= 0 when the next tick is armed.
+    int64_t Unarmed() const { return armed_ - count_ - 1; }
+
+    TimeNs when_;    // Tick count_ + 1.
+    uint64_t seq_;   // Its FIFO sequence number.
+    TimeNs period_;
+    int64_t count_ = 0;
+    int64_t armed_ = kUnarmed;
+    Callback callback_;
+  };
+
   Simulator() { bucket_heads_.assign(kBuckets, kNoSlot); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   TimeNs Now() const { return now_; }
+
+  // Starts a ticker whose tick k falls at Now() + k * period. It starts unarmed.
+  template <typename F>
+  Ticker* StartTicker(TimeNs period, F&& f) {
+    TBF_CHECK(period > 0) << "ticker period must be positive, got " << period;
+    tickers_.push_back(
+        std::unique_ptr<Ticker>(new Ticker(now_ + period, next_seq_++, period)));
+    Ticker* ticker = tickers_.back().get();
+    ticker->callback_.Emplace(std::forward<F>(f));
+    UpdateNextTick();
+    return ticker;
+  }
 
   // Schedules `f` to run `delay` from now. Negative delays clamp to zero.
   template <typename F>
@@ -114,8 +182,9 @@ class Simulator {
     --live_events_;
   }
 
-  // Runs events until the queue is empty or the clock passes `until` (inclusive).
-  // Returns the number of events executed.
+  // Runs events until the queue is empty or the clock passes `until` (inclusive), and
+  // passes every tick at or before `until`. Returns the number of events executed,
+  // armed ticks included.
   int64_t RunUntil(TimeNs until) {
     const int64_t executed = RunLoop(until);
     if (now_ < until && !stopped_) {
@@ -125,7 +194,8 @@ class Simulator {
     return executed;
   }
 
-  // Runs every pending event regardless of timestamp.
+  // Runs every pending event regardless of timestamp, and every armed tick; unarmed
+  // ticks pass only up to the last of them.
   int64_t RunUntilIdle() {
     const int64_t executed = RunLoop(kMaxTime);
     stopped_ = false;
@@ -285,10 +355,13 @@ class Simulator {
     std::sort(scratch_.begin(), scratch_.end(), Descending{});
   }
 
-  // Fires queued events in (when, seq) order while their timestamp is <= bound. The
-  // inner loop drains one bucket at a time: while events of bucket B fire, now_ sits
-  // inside B, so no new event can land in an earlier bucket and no overflow entry can
-  // become eligible - the bucket open/sort happens once per bucket, not once per event.
+  // Fires queued events in (when, seq) order while their timestamp is <= bound, and
+  // passes the ticks between them. The inner loop drains one bucket at a time: while
+  // events of bucket B fire, now_ sits inside B, so no new event can land in an earlier
+  // bucket and no overflow entry can become eligible - the bucket open/sort happens once
+  // per bucket, not once per event. An armed tick breaks that: it may sit in an earlier
+  // bucket and schedule there, so after one runs the loop looks for the earliest bucket
+  // again.
   int64_t RunLoop(TimeNs bound) {
     int64_t executed = 0;
     while (!stopped_) {
@@ -298,47 +371,141 @@ class Simulator {
       if (wheel_count_ == 0) {
         // Beyond-horizon region: pop straight off the overflow heap (rare; the clock
         // jump re-enables wheel admission for whatever follows).
-        if (overflow_.empty() || overflow_.front().when > bound) {
-          break;
+        if (!overflow_.empty() && overflow_.front().when <= bound) {
+          const QEntry entry = overflow_.front();
+          if (Earlier(next_tick_, entry) && PassTicks(entry)) {
+            ++executed;
+            continue;
+          }
+          std::pop_heap(overflow_.begin(), overflow_.end(), Descending{});
+          overflow_.pop_back();
+          executed += Fire(entry);
+          continue;
         }
-        std::pop_heap(overflow_.begin(), overflow_.end(), Descending{});
-        const QEntry entry = overflow_.back();
-        overflow_.pop_back();
-        executed += Fire(entry);
-        continue;
-      }
-      const size_t index = FindEarliestBucket();
-      const int64_t start = BucketOf(now_);
-      const size_t offset =
-          (index - (static_cast<size_t>(start) & kBucketMask)) & kBucketMask;
-      const int64_t ab = start + static_cast<int64_t>(offset);
-      if (scratch_.empty() || open_bucket_ != ab) {
-        OpenBucket(index, ab);
-      }
-      bool past_bound = false;
-      while (!scratch_.empty()) {
-        const QEntry entry = scratch_.back();
-        if (entry.when > bound) {
-          past_bound = true;
-          break;
+      } else {
+        const size_t index = FindEarliestBucket();
+        const int64_t start = BucketOf(now_);
+        const size_t offset =
+            (index - (static_cast<size_t>(start) & kBucketMask)) & kBucketMask;
+        const int64_t ab = start + static_cast<int64_t>(offset);
+        if (scratch_.empty() || open_bucket_ != ab) {
+          OpenBucket(index, ab);
         }
-        scratch_.pop_back();
-        --wheel_count_;
-        executed += Fire(entry);
-        if (stopped_) {
-          break;
+        bool past_bound = false;
+        while (!scratch_.empty()) {
+          const QEntry entry = scratch_.back();
+          if (entry.when > bound) {
+            past_bound = true;
+            break;
+          }
+          if (Earlier(next_tick_, entry) && PassTicks(entry)) {
+            ++executed;
+            break;
+          }
+          scratch_.pop_back();
+          --wheel_count_;
+          executed += Fire(entry);
+          if (stopped_) {
+            break;
+          }
+        }
+        // A callback may have pushed a fresh entry onto this bucket's list while the
+        // scratch was momentarily empty; only clear the bit when both are empty.
+        if (scratch_.empty() && bucket_heads_[index] == kNoSlot) {
+          MarkEmpty(index);
+        }
+        if (!past_bound) {
+          continue;
         }
       }
-      // A callback may have pushed a fresh entry onto this bucket's list while the
-      // scratch was momentarily empty; only clear the bit when both are empty.
-      if (scratch_.empty() && bucket_heads_[index] == kNoSlot) {
-        MarkEmpty(index);
-      }
-      if (past_bound) {
+      // Nothing queued is left within the bound.
+      if (!PassTicksThrough(bound)) {
         break;
       }
+      ++executed;
     }
     return executed;
+  }
+
+  static QEntry TickOf(const Ticker& ticker) {
+    return QEntry{ticker.when_, ticker.seq_, kNoSlot};
+  }
+
+  void UpdateNextTick() {
+    next_ticker_ = tickers_.front().get();
+    for (const std::unique_ptr<Ticker>& ticker : tickers_) {
+      if (Earlier(TickOf(*ticker), TickOf(*next_ticker_))) {
+        next_ticker_ = ticker.get();
+      }
+    }
+    next_tick_ = TickOf(*next_ticker_);
+  }
+
+  // Passes the ticks that sort before `limit` in (time, seq) order: each ticker's run
+  // of unarmed ticks at once, up to the next other ticker's tick. Stops after running
+  // the first armed tick it reaches and returns true; false when none ran.
+  bool PassTicks(const QEntry& limit) {
+    while (Earlier(next_tick_, limit)) {
+      Ticker& t = *next_ticker_;
+      QEntry stop = limit;
+      for (const std::unique_ptr<Ticker>& other : tickers_) {
+        if (other.get() != &t && Earlier(TickOf(*other), stop)) {
+          stop = TickOf(*other);
+        }
+      }
+      // Ticks after the first take fresh sequence numbers, later than every queued
+      // entry's and pending tick's: they sort before `stop` while earlier in time, and
+      // at its time only when `stop` is an open bound (sequence number past them all).
+      const TimeNs gap = stop.when - t.when_;
+      const int64_t more = next_seq_ < stop.seq ? gap / t.period_
+                           : gap > 0            ? (gap - 1) / t.period_
+                                                : 0;
+      const int64_t unarmed = t.Unarmed();
+      if (unarmed > more) {
+        t.count_ += more + 1;
+        t.when_ += (more + 1) * t.period_;
+        t.seq_ = next_seq_++;
+        UpdateNextTick();
+        continue;
+      }
+      if (unarmed > 0) {
+        t.count_ += unarmed;
+        t.when_ += unarmed * t.period_;
+      }
+      now_ = t.when_;
+      ++t.count_;
+      t.armed_ = Ticker::kUnarmed;
+      t.callback_();
+      t.when_ += t.period_;
+      t.seq_ = next_seq_++;
+      UpdateNextTick();
+      return true;
+    }
+    return false;
+  }
+
+  // With nothing queued left within `bound`: passes the ticks at or before it and runs
+  // the first armed one among them. Without a bound, unarmed ticks pass only up to the
+  // earliest armed one. Returns whether an armed tick ran.
+  bool PassTicksThrough(TimeNs bound) {
+    if (tickers_.empty()) {
+      return false;
+    }
+    if (bound == kMaxTime) {
+      TimeNs armed = kMaxTime;
+      for (const std::unique_ptr<Ticker>& t : tickers_) {
+        const int64_t unarmed = std::max<int64_t>(t->Unarmed(), 0);
+        if (t->armed_ != Ticker::kUnarmed &&
+            unarmed < (kMaxTime - t->when_) / t->period_) {
+          armed = std::min(armed, t->when_ + unarmed * t->period_);
+        }
+      }
+      if (armed == kMaxTime) {
+        return false;
+      }
+      bound = armed;
+    }
+    return PassTicks(QEntry{bound, UINT64_MAX, kNoSlot});
   }
 
   // Fires `entry` unless its slot was cancelled. Returns events executed (0 or 1).
@@ -386,6 +553,11 @@ class Simulator {
   int64_t open_bucket_ = -1;        // Absolute bucket index the scratch belongs to.
   std::vector<QEntry> scratch_;     // Sorted (descending) entries of the open bucket.
   std::vector<QEntry> overflow_;
+
+  std::vector<std::unique_ptr<Ticker>> tickers_;
+  // The earliest pending tick, or a key that sorts after every entry while none runs.
+  QEntry next_tick_{kMaxTime, UINT64_MAX, kNoSlot};
+  Ticker* next_ticker_ = nullptr;
 };
 
 }  // namespace tbf::sim

@@ -739,5 +739,23 @@ TEST_F(TbrTest, DemandEventSeesDebtTheFillRepaidUnseen) {
   EXPECT_DOUBLE_EQ(h.tbr().rate(1), 1.0 - config.min_rate);
 }
 
+TEST_F(TbrTest, IdleRegulatorRunsOnlyRateEvents) {
+  // With nothing queued, the fill ticks that run are the first after each rate change
+  // (the association, then every rate event); the other 2 ms ticks only count.
+  for (const TbrMode mode : {TbrMode::kStock, TbrMode::kFastEwma}) {
+    SCOPED_TRACE(mode == TbrMode::kStock ? "stock" : "fast-EWMA");
+    TbrConfig config;
+    config.mode = mode;
+    sim::Simulator sim;
+    TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config);
+    for (NodeId c = 1; c <= 8; ++c) {
+      tbr.OnAssociate(c);
+    }
+    const TimeNs period =
+        mode == TbrMode::kStock ? config.adjust_period : config.demand_period;
+    EXPECT_LE(sim.RunUntil(Sec(10)), 2 * (Sec(10) / period) + 1);
+  }
+}
+
 }  // namespace
 }  // namespace tbf::core
