@@ -69,7 +69,7 @@ QuantileSketch::QuantileSketch(double relative_error)
 }
 
 int QuantileSketch::BucketIndex(double value) const {
-  if (!(value > kMinValue)) {  // NaN and below-range both land in the bottom bucket.
+  if (!(value > kMinValue)) {  // Below range: the bottom bucket.
     return 0;
   }
   // Clamped before the cast: +inf has no int value.
@@ -82,6 +82,7 @@ void QuantileSketch::Add(double value) { AddAt(BucketIndex(value), value); }
 void QuantileSketch::AddAt(int bucket, double value) {
   TBF_CHECK(bucket >= 0 && bucket < bucket_count_)
       << "bucket " << bucket << " out of range";
+  TBF_CHECK(!std::isnan(value)) << "a sketch sample must not be NaN";
   if (counts_.empty()) {
     counts_.assign(static_cast<size_t>(bucket_count_), 0);
     min_ = value;

@@ -44,8 +44,8 @@ class QuantileSketch {
   explicit QuantileSketch(double relative_error = kDefaultRelativeError);
 
   // Records one sample. Values outside [kMinValue, kMaxValue] clamp into the edge
-  // buckets (min/max still track the raw value). Same as AddAt(BucketIndex(value),
-  // value).
+  // buckets (min/max still track the raw value); a NaN aborts. Same as
+  // AddAt(BucketIndex(value), value).
   void Add(double value);
 
   // The bucket Add files `value` under. It costs one std::log, and it depends only on
@@ -53,7 +53,8 @@ class QuantileSketch {
   // same error computes it once and passes it to AddAt.
   int BucketIndex(double value) const;
   // Records `value` in `bucket`, which must be BucketIndex(value) of a sketch with
-  // this one's relative error. Aborts on a bucket outside the array.
+  // this one's relative error. Aborts on a bucket outside the array or a NaN value,
+  // which would stick in min/max and make the sketch fail its own deserializer.
   void AddAt(int bucket, double value);
 
   // Folds `other` into this sketch. Requires identical relative_error. Commutative and

@@ -149,6 +149,17 @@ TEST(QuantileSketchTest, OutOfRangeValuesClampIntoEdgeBuckets) {
   }
 }
 
+TEST(QuantileSketchDeathTest, NanSampleAborts) {
+  // A NaN would stick in min/max for good, and the sketch's own SerializeTo bytes
+  // would then fail DeserializeFrom. This binary starts sweep threads, so the death
+  // test re-executes itself instead of forking a threaded process.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  QuantileSketch sketch;
+  EXPECT_DEATH(sketch.Add(std::numeric_limits<double>::quiet_NaN()), "NaN");
+  sketch.Add(5.0);
+  EXPECT_DEATH(sketch.AddAt(0, std::numeric_limits<double>::quiet_NaN()), "NaN");
+}
+
 // ---- Merge properties ------------------------------------------------------------------
 
 TEST(QuantileSketchMergeTest, MergeEqualsWholeStreamSketch) {
