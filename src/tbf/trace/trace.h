@@ -31,7 +31,6 @@ class TraceLog {
   const std::vector<TraceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
-  void Clear() { records_.clear(); }
 
  private:
   std::vector<TraceRecord> records_;
