@@ -371,58 +371,60 @@ class Simulator {
       if (wheel_count_ == 0) {
         // Beyond-horizon region: pop straight off the overflow heap (rare; the clock
         // jump re-enables wheel admission for whatever follows).
-        if (!overflow_.empty() && overflow_.front().when <= bound) {
-          const QEntry entry = overflow_.front();
-          if (Earlier(next_tick_, entry) && PassTicks(entry)) {
-            ++executed;
-            continue;
+        if (overflow_.empty() || overflow_.front().when > bound) {
+          if (!PassTicksThrough(bound)) {
+            break;
           }
-          std::pop_heap(overflow_.begin(), overflow_.end(), Descending{});
-          overflow_.pop_back();
-          executed += Fire(entry);
+          ++executed;
           continue;
         }
-      } else {
-        const size_t index = FindEarliestBucket();
-        const int64_t start = BucketOf(now_);
-        const size_t offset =
-            (index - (static_cast<size_t>(start) & kBucketMask)) & kBucketMask;
-        const int64_t ab = start + static_cast<int64_t>(offset);
-        if (scratch_.empty() || open_bucket_ != ab) {
-          OpenBucket(index, ab);
-        }
-        bool past_bound = false;
-        while (!scratch_.empty()) {
-          const QEntry entry = scratch_.back();
-          if (entry.when > bound) {
-            past_bound = true;
-            break;
-          }
-          if (Earlier(next_tick_, entry) && PassTicks(entry)) {
-            ++executed;
-            break;
-          }
-          scratch_.pop_back();
-          --wheel_count_;
-          executed += Fire(entry);
-          if (stopped_) {
-            break;
-          }
-        }
-        // A callback may have pushed a fresh entry onto this bucket's list while the
-        // scratch was momentarily empty; only clear the bit when both are empty.
-        if (scratch_.empty() && bucket_heads_[index] == kNoSlot) {
-          MarkEmpty(index);
-        }
-        if (!past_bound) {
+        const QEntry entry = overflow_.front();
+        if (Earlier(next_tick_, entry) && PassTicks(entry)) {
+          ++executed;
           continue;
         }
+        std::pop_heap(overflow_.begin(), overflow_.end(), Descending{});
+        overflow_.pop_back();
+        executed += Fire(entry);
+        continue;
       }
-      // Nothing queued is left within the bound.
-      if (!PassTicksThrough(bound)) {
-        break;
+      const size_t index = FindEarliestBucket();
+      const int64_t start = BucketOf(now_);
+      const size_t offset =
+          (index - (static_cast<size_t>(start) & kBucketMask)) & kBucketMask;
+      const int64_t ab = start + static_cast<int64_t>(offset);
+      if (scratch_.empty() || open_bucket_ != ab) {
+        OpenBucket(index, ab);
       }
-      ++executed;
+      bool past_bound = false;
+      while (!scratch_.empty()) {
+        const QEntry entry = scratch_.back();
+        if (entry.when > bound) {
+          past_bound = true;
+          break;
+        }
+        if (Earlier(next_tick_, entry) && PassTicks(entry)) {
+          ++executed;
+          break;
+        }
+        scratch_.pop_back();
+        --wheel_count_;
+        executed += Fire(entry);
+        if (stopped_) {
+          break;
+        }
+      }
+      // A callback may have pushed a fresh entry onto this bucket's list while the
+      // scratch was momentarily empty; only clear the bit when both are empty.
+      if (scratch_.empty() && bucket_heads_[index] == kNoSlot) {
+        MarkEmpty(index);
+      }
+      if (past_bound) {
+        if (!PassTicksThrough(bound)) {
+          break;
+        }
+        ++executed;
+      }
     }
     return executed;
   }
@@ -488,9 +490,6 @@ class Simulator {
   // the first armed one among them. Without a bound, unarmed ticks pass only up to the
   // earliest armed one. Returns whether an armed tick ran.
   bool PassTicksThrough(TimeNs bound) {
-    if (tickers_.empty()) {
-      return false;
-    }
     if (bound == kMaxTime) {
       TimeNs armed = kMaxTime;
       for (const std::unique_ptr<Ticker>& t : tickers_) {
