@@ -22,7 +22,8 @@ size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
     return static_cast<size_t>(known);
   }
   if (fill_ == nullptr) {
-    // The timers start with the first client: the tick, then the rate event.
+    // The timers start with the first client, the tick first: that order decides
+    // which of the two sorts first at the instants they share.
     fill_ = sim_->StartTicker(config_.fill_period, [this] { FillEvent(); });
     if (config_.enable_rate_adjust) {
       if (config_.mode == TbrMode::kFastEwma) {
