@@ -119,7 +119,8 @@ void BM_TbrEnqueueDequeue(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   sim::Simulator sim;
   net::PacketPool pool;
-  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), {});
+  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), {},
+                               static_cast<size_t>(clients));
   for (NodeId id = 1; id <= clients; ++id) {
     tbr.OnAssociate(id);
   }
@@ -143,7 +144,8 @@ void BM_TbrFillTick(benchmark::State& state) {
   net::PacketPool pool;
   core::TbrConfig config;
   config.use_retry_info = true;  // Uplink charges bill the record's airtime as given.
-  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config);
+  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config,
+                               static_cast<size_t>(clients));
   for (NodeId id = 1; id <= clients; ++id) {
     tbr.OnAssociate(id);
   }
@@ -154,9 +156,9 @@ void BM_TbrFillTick(benchmark::State& state) {
     record.airtime = Sec(1'000'000);
     tbr.OnUplinkObserved(record);
   }
-  const TimeNs period = config.fill_period;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.RunUntil(sim.Now() + period));
+    benchmark::DoNotOptimize(
+        sim.RunUntil(sim.Now() + core::TimeBasedRegulator::kFillPeriod));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -186,7 +188,7 @@ BENCHMARK(BM_PacketPoolChurn);
 void BM_QdiscEnqueueDequeue(benchmark::State& state) {
   const int clients = static_cast<int>(state.range(0));
   net::PacketPool pool;
-  ap::RoundRobinQdisc qdisc(/*per_queue_limit=*/50);
+  ap::RoundRobinQdisc qdisc;
   for (NodeId id = 1; id <= clients; ++id) {
     qdisc.OnAssociate(id);
   }
@@ -202,7 +204,7 @@ BENCHMARK(BM_QdiscEnqueueDequeue)->Arg(8)->Arg(256);
 
 void BM_TbrOccupancyEstimate(benchmark::State& state) {
   sim::Simulator sim;
-  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), {});
+  core::TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), {}, /*contenders=*/2);
   tbr.OnAssociate(1);
   tbr.OnAssociate(2);
   for (auto _ : state) {

@@ -25,6 +25,12 @@
 
 namespace tbf::ap {
 
+// AP buffer sizes, the paper's: the stock kernel interface queue of its Exp-Normal AP,
+// and each client's drop-tail limit in the per-client qdiscs (TBR's setup splits the
+// stock buffer across clients).
+inline constexpr size_t kFifoLimit = 110;
+inline constexpr size_t kPerQueueLimit = 50;
+
 class Qdisc {
  public:
   virtual ~Qdisc() = default;
@@ -100,11 +106,10 @@ class ClientSlotMap {
   size_t count_ = 0;
 };
 
-// Single drop-tail FIFO - the kernel interface queue of a stock AP (default depth 110,
-// matching the paper's Exp-Normal configuration).
+// Single drop-tail FIFO - the kernel interface queue of a stock AP.
 class FifoQdisc : public Qdisc {
  public:
-  explicit FifoQdisc(size_t limit = 110) : limit_(limit) {}
+  explicit FifoQdisc(size_t limit = kFifoLimit) : limit_(limit) {}
 
   bool Enqueue(net::PacketPtr packet) override;
   net::PacketPtr Dequeue() override;
@@ -120,8 +125,8 @@ class FifoQdisc : public Qdisc {
 // [that] usually transmits to wireless clients in a round-robin manner" (paper 2.4).
 class RoundRobinQdisc : public Qdisc {
  public:
-  // `per_queue_limit` mirrors the paper's TBR setup: total buffer split across clients.
-  explicit RoundRobinQdisc(size_t per_queue_limit = 50) : limit_(per_queue_limit) {}
+  explicit RoundRobinQdisc(size_t per_queue_limit = kPerQueueLimit)
+      : limit_(per_queue_limit) {}
 
   void OnAssociate(NodeId client) override;
   bool Enqueue(net::PacketPtr packet) override;
@@ -143,7 +148,7 @@ class RoundRobinQdisc : public Qdisc {
 // clients; the strongest *throughput-based* fairness baseline for mixed packet sizes.
 class DrrQdisc : public Qdisc {
  public:
-  explicit DrrQdisc(size_t per_queue_limit = 50, int64_t quantum_bytes = 1500)
+  explicit DrrQdisc(size_t per_queue_limit = kPerQueueLimit, int64_t quantum_bytes = 1500)
       : limit_(per_queue_limit), quantum_(quantum_bytes) {}
 
   void OnAssociate(NodeId client) override;
@@ -183,7 +188,7 @@ class BurstRoundRobinQdisc : public Qdisc {
   using RateLookup = std::function<int64_t(NodeId)>;  // bits/s of the client's link.
 
   explicit BurstRoundRobinQdisc(RateLookup rate_lookup, int64_t base_rate_bps = 1'000'000,
-                                size_t per_queue_limit = 50)
+                                size_t per_queue_limit = kPerQueueLimit)
       : rate_lookup_(std::move(rate_lookup)),
         base_rate_(base_rate_bps),
         limit_(per_queue_limit) {}

@@ -18,12 +18,16 @@ namespace {
 // TbrConfig grew the scheduler fields, QdiscKind the adaptive TBR kinds, and Results
 // the windowed goodput series. v4 (jobs only): the retired burst-credit and
 // credit-hybrid modes lost their TbrConfig fields and QdiscKind kinds, TbrConfig lost
-// its copy of the per-client queue limit, and TbrMode::kFastEwma became 1. Results and
-// archive bytes did not change, so they stay "CAR3" and archive version 3. Old-format
-// payloads must not half-decode, so the payload magics are bumped; the archive keeps its
-// magic and bumps its version field instead, which is what lets DecodeArchive diagnose a
-// stale archive by name (codec.h).
-constexpr uint32_t kJobMagic = 0x43414a34;      // "CAJ4"
+// its copy of the per-client queue limit, and TbrMode::kFastEwma became 1. v5 (jobs
+// only): the scenario values no workload set became constants and left the wire:
+// TbrConfig keeps 7 fields (its periods, thresholds, repair and contention settings
+// went), and ScenarioConfig lost the AP queue limits, the MAC timings and the wired hop.
+// Since v3, Results and archive bytes have not changed, so they stay "CAR3" and archive
+// version 3. Old-format payloads must not half-decode, so the payload magics are bumped;
+// a completion log of an older job layout fails its manifest's fingerprint instead
+// (docs/campaign.md). The archive keeps its magic and bumps its version field, which is
+// what lets DecodeArchive diagnose a stale archive by name (codec.h).
+constexpr uint32_t kJobMagic = 0x43414a35;      // "CAJ5"
 constexpr uint32_t kResultsMagic = 0x43415233;  // "CAR3"
 constexpr uint32_t kArchiveMagic = 0x54424641;  // "TBFA"
 constexpr uint32_t kArchiveVersion = 3;
@@ -249,18 +253,10 @@ class ByteReader {
 template <typename S, typename T>
 concept Of = std::same_as<std::remove_const_t<S>, T>;
 
-template <typename IO, Of<phy::MacTimings> S>
-void Fields(IO& io, S& t) {
-  io(t.slot, t.sifs, t.cw_min, t.cw_max, t.retry_limit);
-}
-
 template <typename IO, Of<core::TbrConfig> S>
 void Fields(IO& io, S& c) {
-  io(c.mode, c.fill_period, c.bucket_depth, c.initial_tokens, c.enable_rate_adjust,
-     c.adjust_period, c.adjust_threshold, c.usage_ewma_alpha, c.saturation_guard,
-     c.min_rate, c.maxmin_repair, c.repair_step, c.work_conserving_fallback,
-     c.demand_period, c.demand_alpha, c.demand_active_threshold, c.use_retry_info,
-     c.charge_contention_overhead, c.contention_contenders, c.client_agent);
+  io(c.mode, c.bucket_depth, c.initial_tokens, c.enable_rate_adjust,
+     c.work_conserving_fallback, c.use_retry_info, c.client_agent);
 }
 
 template <typename IO, Of<stats::StatsConfig> S>
@@ -270,8 +266,7 @@ void Fields(IO& io, S& c) {
 
 template <typename IO, Of<scenario::ScenarioConfig> S>
 void Fields(IO& io, S& c) {
-  io(c.qdisc, c.tbr, c.fifo_limit, c.per_queue_limit, c.timings, c.seed, c.wired_rate,
-     c.wired_delay, c.warmup, c.duration, c.stats);
+  io(c.qdisc, c.tbr, c.seed, c.warmup, c.duration, c.stats);
 }
 
 template <typename IO, Of<scenario::StationSpec> S>

@@ -1,6 +1,6 @@
 // Campaign manifests: the declarative, wire-shippable form of a scenario sweep.
 //
-// A campaign is a parameter-grid of deterministic scenario runs (ROADMAP item 3:
+// A campaign is a parameter-grid of deterministic scenario runs (for example
 // schedulers x traffic models x cell sizes x seeds, easily 10^6 jobs) distributed
 // across worker processes. A CampaignJob is sweep::ScenarioJob minus the one thing
 // that cannot travel: the `configure` callback. Everything left is plain data with

@@ -7,34 +7,36 @@
 namespace tbf::core {
 
 TimeBasedRegulator::TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings,
-                                       TbrConfig config, size_t per_queue_limit)
-    : sim_(sim), timings_(timings), config_(config), per_queue_limit_(per_queue_limit) {}
+                                       TbrConfig config, size_t contenders,
+                                       size_t per_queue_limit)
+    : sim_(sim),
+      timings_(timings),
+      config_(config),
+      contenders_(static_cast<TimeNs>(contenders)),
+      per_queue_limit_(per_queue_limit) {
+  TBF_CHECK(contenders > 0) << "TBR's contention allowance needs the cell's station count";
+}
 
 void TimeBasedRegulator::OnAssociate(NodeId client) { GetOrAssociate(client); }
 
 size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
-  TBF_CHECK(client >= 0) << "TBR regulates per-client traffic; packets need a client";
-  if (static_cast<size_t>(client) >= slot_of_.size()) {
-    slot_of_.resize(static_cast<size_t>(client) + 1, -1);
-  }
-  const int32_t known = slot_of_[static_cast<size_t>(client)];
-  if (known >= 0) {
-    return static_cast<size_t>(known);
+  bool created = false;
+  const auto slot = static_cast<size_t>(slots_.GetOrAdd(client, &created));
+  if (!created) {
+    return slot;
   }
   if (fill_ == nullptr) {
     // The timers start with the first client, the tick first: that order decides
     // which of the two sorts first at the instants they share.
-    fill_ = sim_->StartTicker(config_.fill_period, [this] { FillEvent(); });
+    fill_ = sim_->StartTicker(kFillPeriod, [this] { FillEvent(); });
     if (config_.enable_rate_adjust) {
       if (config_.mode == TbrMode::kFastEwma) {
-        sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
+        sim_->Schedule(kDemandPeriod, [this] { DemandEvent(); });
       } else {
-        sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
+        sim_->Schedule(kAdjustPeriod, [this] { AdjustRateEvent(); });
       }
     }
   }
-  const size_t slot = clients_.size();
-  slot_of_[static_cast<size_t>(client)] = static_cast<int32_t>(slot);
   ClientQueue& q = queues_.emplace_back();
   q.tokens = config_.initial_tokens;
   q.synced = Ticks();
@@ -49,10 +51,9 @@ size_t TimeBasedRegulator::GetOrAssociate(NodeId client) {
     // first packet auto-associated mid-run.)
     const double share = st.weight / total_weight_;
     for (ClientState& other : clients_) {
-      other.rate *= 1.0 - share;
+      SetRate(other, other.rate * (1.0 - share));
     }
-    st.rate = share;
-    refill_due_ = true;
+    SetRate(st, share);
     Rearm();
   } else {
     RecomputeFairRates();
@@ -65,9 +66,8 @@ void TimeBasedRegulator::RecomputeFairRates() {
     return;
   }
   for (ClientState& st : clients_) {
-    st.rate = st.weight / total_weight_;
+    SetRate(st, st.weight / total_weight_);
   }
-  refill_due_ = true;
   Rearm();
 }
 
@@ -83,8 +83,8 @@ void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
   // Adjusted regime: scale this client's rate with its weight change and renormalize,
   // so the other clients keep their converged relative allocation instead of being
   // reset to the static split.
-  st.rate = old_weight > 0.0 ? st.rate * (weight / old_weight)
-                             : weight / total_weight_;
+  SetRate(st, old_weight > 0.0 ? st.rate * (weight / old_weight)
+                                : weight / total_weight_);
   double sum = 0.0;
   for (const ClientState& other : clients_) {
     sum += other.rate;
@@ -94,9 +94,8 @@ void TimeBasedRegulator::SetWeight(NodeId client, double weight) {
     return;
   }
   for (ClientState& other : clients_) {
-    other.rate /= sum;
+    SetRate(other, other.rate / sum);
   }
-  refill_due_ = true;
   Rearm();
 }
 
@@ -183,26 +182,20 @@ size_t TimeBasedRegulator::QueuedPackets() const {
 
 TimeNs TimeBasedRegulator::EstimateOccupancy(int mac_frame_bytes, phy::WifiRate rate,
                                              int attempts) const {
-  TimeNs per_attempt = phy::DataExchangeAirtime(mac_frame_bytes, rate, timings_);
-  if (config_.charge_contention_overhead) {
-    // Deterministic allowance for the IFS + backoff idle an exchange consumes. Under
-    // contention the expected idle is roughly the solo expectation divided by the number
-    // of contenders (minimum of independent uniform draws), so scale by the cell size;
-    // what matters for fairness is that the estimate is applied uniformly to all nodes.
-    // The divisor is pinned by contention_contenders where set: dividing by the
-    // currently-associated count makes the charge depend on association order (lazy
-    // association via Enqueue bills early packets as if the cell were smaller).
-    const auto contenders = static_cast<TimeNs>(
-        config_.contention_contenders > 0
-            ? static_cast<size_t>(config_.contention_contenders)
-            : std::max<size_t>(clients_.size(), 1));
-    per_attempt += timings_.Difs() + (timings_.cw_min / 2) * timings_.slot / contenders;
-  }
+  // The exchange's airtime plus a deterministic allowance for the IFS + backoff idle it
+  // consumes. Under contention the expected idle is roughly the solo expectation divided
+  // by the number of contenders (minimum of independent uniform draws), so scale by the
+  // cell size; what matters for fairness is that the estimate is applied uniformly to all
+  // nodes. The divisor is the declared station count, not the associated one, which
+  // would bill early packets of a lazily associating cell as if it were smaller.
+  const TimeNs per_attempt =
+      phy::DataExchangeAirtime(mac_frame_bytes, rate, timings_) +
+      (timings_.Difs() + (timings_.cw_min / 2) * timings_.slot / contenders_);
   return per_attempt * std::max(attempts, 1);
 }
 
 void TimeBasedRegulator::Charge(NodeId client, TimeNs occupancy) {
-  const int32_t found = SlotOf(client);
+  const int32_t found = slots_.SlotOf(client);
   if (found < 0) {
     return;
   }
@@ -240,7 +233,7 @@ void TimeBasedRegulator::OnUplinkObserved(const mac::ExchangeRecord& record) {
 }
 
 void TimeBasedRegulator::FillEvent() {
-  // Each tick is fill_period after the last, so it adds rate * fill_period to every
+  // Each tick is kFillPeriod after the last, so it adds rate * kFillPeriod to every
   // bucket; TokensNow() folds that in when a client is next touched. Only the clients
   // this tick lifts above zero while backlogged need the MAC's attention now.
   const int64_t tick = Ticks();
@@ -270,8 +263,7 @@ void TimeBasedRegulator::Refill(int64_t tick) {
   for (size_t slot = 0; slot < queues_.size(); ++slot) {
     ClientQueue& q = queues_[slot];
     Sync(q, tick);
-    q.fill = static_cast<TimeNs>(clients_[slot].rate *
-                                 static_cast<double>(config_.fill_period));
+    q.fill = static_cast<TimeNs>(clients_[slot].rate * static_cast<double>(kFillPeriod));
     q.wake_pos = -1;
     if (Waits(q)) {
       q.wake_pos = static_cast<int32_t>(wake_.size());
@@ -358,7 +350,7 @@ void TimeBasedRegulator::WakeSiftDown(size_t pos) {
 }
 
 void TimeBasedRegulator::AdjustRateEvent() {
-  const double window = static_cast<double>(config_.adjust_period);
+  const double window = static_cast<double>(kAdjustPeriod);
   // Excess = assigned share minus consumed share over the window (Fig. 7). The
   // classification scratch is reused across ADJUSTRATEEVENTs (steady state allocates
   // nothing, pinned by the packet-pool allocation test).
@@ -375,10 +367,10 @@ void TimeBasedRegulator::AdjustRateEvent() {
     if (st.smoothed_usage < 0.0) {
       st.smoothed_usage = st.rate;  // Assume full use until evidence accumulates.
     }
-    st.smoothed_usage += config_.usage_ewma_alpha * (usage - st.smoothed_usage);
+    st.smoothed_usage += kUsageEwmaAlpha * (usage - st.smoothed_usage);
     total_usage += st.smoothed_usage;
     const double excess = st.rate - st.smoothed_usage;
-    if (excess >= config_.adjust_threshold) {
+    if (excess >= kAdjustThreshold) {
       under.push_back(&st);
       if (under.size() == 1 || excess < min_excess) {
         min_excess = excess;
@@ -392,70 +384,68 @@ void TimeBasedRegulator::AdjustRateEvent() {
     }
   }
 
-  const bool channel_has_headroom = total_usage < config_.saturation_guard;
+  const bool channel_has_headroom = total_usage < kSaturationGuard;
   if (!under.empty() && !full.empty() && channel_has_headroom) {
     // Donate half of the smallest under-utilizer's excess from the *largest*
     // under-utilizer, split equally among fully-utilizing nodes (Fig. 7). The max-min
     // guard: a donor's rate never drops below what it demonstrably uses plus a margin,
     // so estimator noise or transport burstiness cannot bleed away a busy node's share.
     double donation = min_excess / 2.0;
-    donation = std::min(donation, max_excess - config_.adjust_threshold / 2.0);
-    donation = std::min(donation, max_excess_node->rate - config_.min_rate);
+    donation = std::min(donation, max_excess - kAdjustThreshold / 2.0);
+    donation = std::min(donation, max_excess_node->rate - kMinRate);
     if (donation > 0.0) {
-      max_excess_node->rate -= donation;
+      SetRate(*max_excess_node, max_excess_node->rate - donation);
       const double share = donation / static_cast<double>(full.size());
       for (ClientState* st : full) {
-        st->rate += share;
+        SetRate(*st, st->rate + share);
       }
       rates_adjusted_ = true;
     }
   }
 
-  if (config_.maxmin_repair) {
-    // A fully-utilizing node sitting below its weighted fair share is starved; reclaim
-    // from nodes holding more than fair share, proportionally to their surplus. This
-    // restores the paper's max-min constraint after demand shifts.
-    for (ClientState* st : full) {
-      const double fair = st->weight / total_weight_;
-      if (st->rate >= fair) {
-        continue;
-      }
-      double want = std::min(config_.repair_step, fair - st->rate);
-      double surplus_total = 0.0;
-      for (ClientState& other : clients_) {
-        const double other_fair = other.weight / total_weight_;
-        if (&other != st && other.rate > other_fair) {
-          surplus_total += other.rate - other_fair;
-        }
-      }
-      if (surplus_total <= 0.0) {
-        continue;
-      }
-      want = std::min(want, surplus_total);
-      for (ClientState& other : clients_) {
-        const double other_fair = other.weight / total_weight_;
-        if (&other != st && other.rate > other_fair) {
-          other.rate -= want * (other.rate - other_fair) / surplus_total;
-        }
-      }
-      st->rate += want;
-      rates_adjusted_ = true;
+  // Max-min repair: a fully-utilizing node sitting below its weighted fair share is
+  // starved; reclaim from nodes holding more than fair share, proportionally to their
+  // surplus. This restores the paper's max-min constraint after demand shifts, from
+  // which Fig. 7 alone cannot recover.
+  for (ClientState* st : full) {
+    const double fair = st->weight / total_weight_;
+    if (st->rate >= fair) {
+      continue;
     }
+    double want = std::min(kRepairStep, fair - st->rate);
+    double surplus_total = 0.0;
+    for (ClientState& other : clients_) {
+      const double other_fair = other.weight / total_weight_;
+      if (&other != st && other.rate > other_fair) {
+        surplus_total += other.rate - other_fair;
+      }
+    }
+    if (surplus_total <= 0.0) {
+      continue;
+    }
+    want = std::min(want, surplus_total);
+    for (ClientState& other : clients_) {
+      const double other_fair = other.weight / total_weight_;
+      if (&other != st && other.rate > other_fair) {
+        SetRate(other, other.rate - want * (other.rate - other_fair) / surplus_total);
+      }
+    }
+    SetRate(*st, st->rate + want);
+    rates_adjusted_ = true;
   }
 
   for (ClientState& st : clients_) {
     st.actual = 0;
   }
-  refill_due_ = true;
   Rearm();
-  sim_->Schedule(config_.adjust_period, [this] { AdjustRateEvent(); });
+  sim_->Schedule(kAdjustPeriod, [this] { AdjustRateEvent(); });
 }
 
 void TimeBasedRegulator::DemandEvent() {
   // kFastEwma's replacement for ADJUSTRATEEVENT: a full reallocation every
-  // demand_period driven by per-client demand EWMAs, so a cell's shares track demand
+  // kDemandPeriod driven by per-client demand EWMAs, so a cell's shares track demand
   // shifts in tens of milliseconds instead of the 500 ms epoch.
-  const double window = static_cast<double>(config_.demand_period);
+  const double window = static_cast<double>(kDemandPeriod);
   double total_demand = 0.0;
   double active_weight = 0.0;
   size_t idle_count = 0;
@@ -464,7 +454,7 @@ void TimeBasedRegulator::DemandEvent() {
     if (st.smoothed_usage < 0.0) {
       st.smoothed_usage = usage;
     }
-    st.smoothed_usage += config_.demand_alpha * (usage - st.smoothed_usage);
+    st.smoothed_usage += kDemandAlpha * (usage - st.smoothed_usage);
     total_demand += st.smoothed_usage;
     st.actual = 0;
   }
@@ -475,32 +465,31 @@ void TimeBasedRegulator::DemandEvent() {
       ++idle_count;
     }
   }
-  const double idle_floor = config_.min_rate * static_cast<double>(idle_count);
-  if (total_demand >= config_.saturation_guard || active_weight <= 0.0 ||
+  const double idle_floor = kMinRate * static_cast<double>(idle_count);
+  if (total_demand >= kSaturationGuard || active_weight <= 0.0 ||
       idle_floor >= 1.0) {
     // Saturated (or degenerate) cell: the estimator cannot distinguish low demand
     // from invisible retries, so fall back to the paper's static weighted split -
     // the same guard that stops the stock adjuster from bleeding busy nodes.
     RecomputeFairRates();
   } else {
-    // Idle clients keep min_rate so they can ramp back; active clients split the
+    // Idle clients keep kMinRate so they can ramp back; active clients split the
     // rest by weight.
     for (size_t slot = 0; slot < clients_.size(); ++slot) {
       ClientState& st = clients_[slot];
-      st.rate = DemandActive(slot) ? (st.weight / active_weight) * (1.0 - idle_floor)
-                                   : config_.min_rate;
+      SetRate(st, DemandActive(slot) ? (st.weight / active_weight) * (1.0 - idle_floor)
+                                     : kMinRate);
     }
-    refill_due_ = true;
     rates_adjusted_ = true;
     Rearm();
   }
-  sim_->Schedule(config_.demand_period, [this] { DemandEvent(); });
+  sim_->Schedule(kDemandPeriod, [this] { DemandEvent(); });
 }
 
 bool TimeBasedRegulator::DemandActive(size_t slot) const {
   const ClientQueue& q = queues_[slot];
   return !q.packets.empty() || TokensNow(q) < 0 ||
-         clients_[slot].smoothed_usage >= config_.demand_active_threshold;
+         clients_[slot].smoothed_usage >= kDemandActiveThreshold;
 }
 
 void TimeBasedRegulator::MaybePauseClient(size_t slot) {
@@ -519,17 +508,17 @@ void TimeBasedRegulator::MaybePauseClient(size_t slot) {
 }
 
 TimeNs TimeBasedRegulator::tokens(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0 : TokensNow(queues_[static_cast<size_t>(slot)]);
 }
 
 double TimeBasedRegulator::rate(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0.0 : clients_[static_cast<size_t>(slot)].rate;
 }
 
 TimeNs TimeBasedRegulator::actual_usage(NodeId client) const {
-  const int32_t slot = SlotOf(client);
+  const int32_t slot = slots_.SlotOf(client);
   return slot < 0 ? 0 : clients_[static_cast<size_t>(slot)].actual;
 }
 

@@ -20,7 +20,8 @@
 //   ADJUSTRATEEVENT -> AdjustRateEvent()  max-min redistribution of under-used rate
 //
 // Occupancy is *estimated* the way a driver would: PLCP + data + SIFS + ACK from (size,
-// rate), plus a deterministic contention allowance. Like the paper's HostAP implementation,
+// rate), plus a deterministic contention allowance divided by the cell's declared station
+// count, a constructor argument. Like the paper's HostAP implementation,
 // TBR by default has no retransmission information (use_retry_info=false), which slightly
 // biases against nodes whose failed attempts go unseen - the Exp-TBR vs Eq.12 gap the paper
 // reports. Enabling use_retry_info charges ground-truth per-attempt airtime instead.
@@ -51,42 +52,26 @@ namespace tbf::core {
 enum class TbrMode : int {
   kStock = 0,
   // Replaces the fixed 500 ms ADJUSTRATEEVENT with a demand-driven reallocation every
-  // demand_period (sub-100 ms): clients with live demand (backlog, debt, or smoothed
-  // usage above demand_active_threshold) split the channel by weight; idle clients keep
-  // min_rate so they can ramp back. Under saturation (total smoothed usage >=
-  // saturation_guard) shares revert to the static weighted fair split, so estimator
+  // kDemandPeriod (50 ms): clients with live demand (backlog, debt, or smoothed usage
+  // above kDemandActiveThreshold) split the channel by weight; idle clients keep
+  // kMinRate so they can ramp back. Under saturation (total smoothed usage >=
+  // kSaturationGuard) shares revert to the static weighted fair split, so estimator
   // noise cannot bleed share from busy nodes - the same guard the stock adjuster uses.
   kFastEwma = 1,
   kLast = kFastEwma,  // Range sentinel for decoders; an alias, not a mode.
 };
 
+// What a scenario chooses about its regulator. The periods and thresholds the paper
+// fixes are constants of the regulator (TimeBasedRegulator::kFillPeriod and on).
 struct TbrConfig {
   TbrMode mode = TbrMode::kStock;
 
   // Token bucket parameters.
-  TimeNs fill_period = Ms(2);
   TimeNs bucket_depth = Ms(20);    // bucket_i: burst bound, affects short-term fairness.
   TimeNs initial_tokens = Ms(10);  // T_init.
 
   // Rate adjustment (Fig. 7).
   bool enable_rate_adjust = true;
-  TimeNs adjust_period = Ms(500);
-  double adjust_threshold = 0.08;  // Rth, as a fraction of total channel time.
-  // Usage is smoothed across adjustment windows before excess capacity is computed, so
-  // transport-layer burstiness (ack-clocked TCP under regulation is very bursty) does not
-  // masquerade as persistent under-utilization and bleed rate away from a busy node.
-  double usage_ewma_alpha = 0.35;
-  // Donation only happens while the cell has genuine headroom by TBR's own accounting
-  // (sum of smoothed usages below this fraction). On a saturated channel a node whose
-  // estimated usage trails its assignment is a victim of estimation error (collisions and
-  // retries are invisible without retry info), not an under-utilizer; redistributing then
-  // would bleed share from busy fast nodes toward slow ones.
-  double saturation_guard = 0.91;
-  double min_rate = 0.01;          // Floor so a donor can always ramp back up.
-  // Max-min repair: pull starved fully-utilizing nodes back toward their fair share
-  // (the paper states the max-min goal; Fig. 7 alone cannot recover from some states).
-  bool maxmin_repair = true;
-  double repair_step = 0.05;
 
   // Work conservation at *packet* granularity: when no queue has positive tokens but
   // packets are waiting, release from the most-token backlogged queue instead of idling.
@@ -95,27 +80,13 @@ struct TbrConfig {
   // release them). Without it, an associated station that sends nothing holds channel
   // time nobody uses, for good: ADJUSTRATEEVENT donates only while a client's excess
   // (its rate minus its smoothed usage, so at most its share) is at least
-  // adjust_threshold, and never takes a donor below adjust_threshold / 2 above its use.
+  // kAdjustThreshold, and never takes a donor below kAdjustThreshold / 2 above its use.
   // With equal weights and N >= 13 stations (1/N < 0.08) no share moves at all. Kept
   // as an option for the ablation bench and the trace audit.
   bool work_conserving_fallback = false;
 
-  // kFastEwma: demand-event cadence and smoothing. A client counts as active while it
-  // is backlogged, in token debt, or its demand EWMA is at least the threshold
-  // (fraction of channel time).
-  TimeNs demand_period = Ms(50);
-  double demand_alpha = 0.3;
-  double demand_active_threshold = 0.02;
-
   // Occupancy estimator.
   bool use_retry_info = false;  // Paper's implementation: false.
-  bool charge_contention_overhead = true;
-  // Contenders assumed by the contention allowance. 0 = currently-associated count,
-  // which makes the per-packet charge depend on association order (lazy association
-  // via Enqueue charges early packets as if the cell were smaller). Scenario builders
-  // set this to the declared station count, making charges association-order
-  // invariant; identical to the legacy divisor for scenarios that associate upfront.
-  int contention_contenders = 0;
 
   // Optional explicit client cooperation (paper 4.1) for uplink UDP.
   bool client_agent = false;
@@ -128,10 +99,37 @@ class TimeBasedRegulator : public ap::Qdisc {
  public:
   using ClientPauseFn = std::function<void(NodeId client, TimeNs until)>;
 
-  // `per_queue_limit` is each client's drop-tail limit (the paper splits the stock
-  // 100-packet buffer), the same AP limit the other per-client qdiscs take.
-  TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings, TbrConfig config = {},
-                     size_t per_queue_limit = 50);
+  // The paper's fixed parameters, the same in every cell.
+  static constexpr TimeNs kFillPeriod = Ms(2);      // FILLEVENT tick.
+  static constexpr TimeNs kAdjustPeriod = Ms(500);  // ADJUSTRATEEVENT (kStock).
+  static constexpr double kAdjustThreshold = 0.08;  // Rth, as a fraction of channel time.
+  // Usage is smoothed across adjustment windows before excess capacity is computed, so
+  // transport-layer burstiness (ack-clocked TCP under regulation is very bursty) does not
+  // masquerade as persistent under-utilization and bleed rate away from a busy node.
+  static constexpr double kUsageEwmaAlpha = 0.35;
+  // Donation only happens while the cell has genuine headroom by TBR's own accounting
+  // (sum of smoothed usages below this fraction). On a saturated channel a node whose
+  // estimated usage trails its assignment is a victim of estimation error (collisions and
+  // retries are invisible without retry info), not an under-utilizer; redistributing then
+  // would bleed share from busy fast nodes toward slow ones.
+  static constexpr double kSaturationGuard = 0.91;
+  static constexpr double kMinRate = 0.01;  // Floor so a donor can always ramp back up.
+  // Max-min repair step: how far one ADJUSTRATEEVENT pulls a starved, fully-utilizing
+  // node back toward its fair share.
+  static constexpr double kRepairStep = 0.05;
+  // kFastEwma: demand-event cadence and smoothing. A client counts as active while it
+  // is backlogged, in token debt, or its demand EWMA is at least the threshold
+  // (fraction of channel time).
+  static constexpr TimeNs kDemandPeriod = Ms(50);
+  static constexpr double kDemandAlpha = 0.3;
+  static constexpr double kDemandActiveThreshold = 0.02;
+
+  // `contenders` is the cell's declared station count, the divisor of the contention
+  // allowance: fixed up front, so a charge never depends on how many clients have
+  // associated yet. `per_queue_limit` is each client's drop-tail limit (the paper splits
+  // the stock 100-packet buffer), the same AP limit the other per-client qdiscs take.
+  TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timings, TbrConfig config,
+                     size_t contenders, size_t per_queue_limit = ap::kPerQueueLimit);
 
   // ap::Qdisc implementation.
   void OnAssociate(NodeId client) override;
@@ -145,10 +143,6 @@ class TimeBasedRegulator : public ap::Qdisc {
 
   // Weighted (QoS) shares; weights are normalized across associated clients.
   void SetWeight(NodeId client, double weight);
-
-  // Pins the contention-allowance divisor (see TbrConfig::contention_contenders).
-  // Scenario builders call this with the declared station count before traffic starts.
-  void SetContentionContenders(int n) { config_.contention_contenders = n; }
 
   // Client agent wiring (used when config.client_agent is true).
   void SetClientPauseFn(ClientPauseFn fn) { client_pause_ = std::move(fn); }
@@ -170,7 +164,7 @@ class TimeBasedRegulator : public ap::Qdisc {
     net::PacketFifo packets;  // Intrusive FIFO of pooled packets.
     TimeNs tokens = 0;        // As of fill tick `synced`; TokensNow() folds in the rest.
     int64_t synced = 0;       // Fill ticks already folded into `tokens`.
-    TimeNs fill = 0;          // Tokens one fill tick adds: rate * fill_period.
+    TimeNs fill = 0;          // Tokens one fill tick adds: rate * kFillPeriod.
     int32_t wake_pos = -1;    // Index in wake_, or -1 when not waiting there.
   };
   // Rate state: what ADJUSTRATEEVENT and the demand event touch.
@@ -194,6 +188,14 @@ class TimeBasedRegulator : public ap::Qdisc {
   void AdjustRateEvent();
   void DemandEvent();
   void RecomputeFairRates();
+  // Every rate write goes through here. Fills go stale (refill_due_) only when the rate
+  // moves, so a rate event that changes nothing arms no tick. Callers Rearm() after.
+  void SetRate(ClientState& st, double rate) {
+    if (st.rate != rate) {
+      st.rate = rate;
+      refill_due_ = true;
+    }
+  }
   // Returns the client's slot, associating it on first sight.
   size_t GetOrAssociate(NodeId client);
   void Charge(NodeId client, TimeNs occupancy);
@@ -242,27 +244,22 @@ class TimeBasedRegulator : public ap::Qdisc {
     queues_[static_cast<size_t>(wake.slot)].wake_pos = static_cast<int32_t>(pos);
   }
 
-  // Dense slot lookup (clients never disassociate); -1 when the client is unknown.
-  int32_t SlotOf(NodeId client) const {
-    return client >= 0 && static_cast<size_t>(client) < slot_of_.size()
-               ? slot_of_[static_cast<size_t>(client)]
-               : -1;
-  }
-
   sim::Simulator* sim_;
   sim::Simulator::Ticker* fill_ = nullptr;  // Started at the first association.
   phy::MacTimings timings_;
   TbrConfig config_;
+  TimeNs contenders_;  // Divisor of the contention allowance.
   size_t per_queue_limit_;
   ClientPauseFn client_pause_;
 
   // Client state packed in association order (which is the round-robin order), indexed
-  // through slot_of_: the per-frame Dequeue()/HasEligible() walks are linear scans over
+  // through slots_: the per-frame Dequeue()/HasEligible() walks are linear scans over
   // contiguous state, and per-completion Charge() is one indexed load - no tree walk
-  // anywhere on the per-packet path. queues_[i] and clients_[i] are one client.
+  // anywhere on the per-packet path. queues_[i] and clients_[i] are one client, and
+  // clients never disassociate.
+  ap::ClientSlotMap slots_;
   std::vector<ClientQueue> queues_;
   std::vector<ClientState> clients_;
-  std::vector<int32_t> slot_of_;  // NodeId -> slot; -1 = not associated.
   // ADJUSTRATEEVENT classification scratch, reused so the 500 ms timer allocates
   // nothing once warm.
   std::vector<ClientState*> adjust_under_;
@@ -273,8 +270,8 @@ class TimeBasedRegulator : public ap::Qdisc {
   size_t next_ = 0;
   double total_weight_ = 0.0;  // Cached sum of weights (invariant: > 0 once non-empty).
   // Rates moved since fills were last derived. Fills only matter from the next tick
-  // on, so every rate change just sets this and that tick's Refill() catches up; the
-  // wake heap is stale until then.
+  // on, so SetRate() just sets this and that tick's Refill() catches up; the wake heap
+  // is stale until then.
   bool refill_due_ = false;
   // True once an adjust/demand event has moved any rate off the static fair split.
   // While false, (re)association keeps the exact legacy RecomputeFairRates() values;

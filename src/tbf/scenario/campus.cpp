@@ -6,14 +6,8 @@ std::string ValidateCampus(const CampusConfig& config, const std::vector<BssSpec
   if (bss.empty()) {
     return "campus: needs at least one BSS";
   }
-  if (config.backbone_rate <= 0) {
-    return "campus: backbone_rate must be > 0";
-  }
   if (config.backbone_delay <= 0) {
     return "campus: backbone_delay must be > 0 (it is the conservative lookahead window)";
-  }
-  if (config.backbone_queue_limit == 0) {
-    return "campus: backbone_queue_limit must be > 0";
   }
   for (size_t i = 0; i < bss.size(); ++i) {
     const std::string tag = "bss #" + std::to_string(i);

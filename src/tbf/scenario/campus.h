@@ -33,14 +33,13 @@ struct BssSpec {
 };
 
 struct CampusConfig {
-  // Per-cell scenario knobs shared by every BSS (qdisc, MAC timings, warmup/duration).
+  // Per-cell scenario knobs shared by every BSS (qdisc, TBR, warmup/duration).
   // `cell.seed` seeds the campus: cell i derives seed + 1 + i, the wired core uses seed
-  // itself, so per-cell streams are independent and reproducible. The single-cell
-  // wired_rate/wired_delay fields are ignored - the backbone fields below replace them.
+  // itself, so per-cell streams are independent and reproducible. Each cell's wired leg
+  // is its backbone link (rate and queue fixed in shard/campus_sim.cpp), not the single
+  // cell's wired hop.
   ScenarioConfig cell;
-  BitRate backbone_rate = Mbps(1000);
-  TimeNs backbone_delay = Us(500);      // One-way; must be > 0.
-  size_t backbone_queue_limit = 4096;   // Per-direction backbone queue (packets).
+  TimeNs backbone_delay = Us(500);  // One-way; must be > 0.
 
   friend bool operator==(const CampusConfig&, const CampusConfig&) = default;
 };

@@ -7,26 +7,29 @@
 namespace tbf::scenario {
 namespace {
 
-// The AP transmit qdisc the config asks for. `rates` feeds the burst-sizing baseline
-// (kOarBurst); when the config selects TBR, `*tbr_out` receives the live regulator.
-std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulator* sim,
+// The AP transmit qdisc the config asks for, with the AP buffers of ap/qdisc.h. `rates`
+// feeds the burst-sizing baseline (kOarBurst); when the config selects TBR, the regulator
+// estimates occupancy from the medium's `timings` and `stations` contenders, and
+// `*tbr_out` receives it.
+std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, size_t stations,
+                                     sim::Simulator* sim, const phy::MacTimings& timings,
                                      rateadapt::CompositeRateController* rates,
                                      core::TimeBasedRegulator** tbr_out) {
   switch (config.qdisc) {
     case QdiscKind::kFifo:
-      return std::make_unique<ap::FifoQdisc>(config.fifo_limit);
+      return std::make_unique<ap::FifoQdisc>();
     case QdiscKind::kRoundRobin:
-      return std::make_unique<ap::RoundRobinQdisc>(config.per_queue_limit);
+      return std::make_unique<ap::RoundRobinQdisc>();
     case QdiscKind::kDrr:
-      return std::make_unique<ap::DrrQdisc>(config.per_queue_limit);
+      return std::make_unique<ap::DrrQdisc>();
     case QdiscKind::kOarBurst:
       // OAR-style comparison baseline: bursts sized by the client's current rate.
       return std::make_unique<ap::BurstRoundRobinQdisc>(
           [rates](NodeId client) { return phy::GetRateInfo(rates->CurrentRate(client)).bps; },
-          Mbps(1), config.per_queue_limit);
+          Mbps(1));
     case QdiscKind::kTbr: {
-      auto tbr = std::make_unique<core::TimeBasedRegulator>(
-          sim, config.timings, config.tbr, config.per_queue_limit);
+      auto tbr =
+          std::make_unique<core::TimeBasedRegulator>(sim, timings, config.tbr, stations);
       *tbr_out = tbr.get();
       return tbr;
     }
@@ -122,8 +125,10 @@ CellStack::CellStack(const ScenarioConfig& config, const std::vector<StationSpec
       rng(seed),
       stats(config.stats),
       loss(&fixed_loss, &snr_loss),
-      medium(sim, config.timings, &loss, &rng),
-      ap(sim, &medium, MakeQdisc(config, sim, &ap_rates, &tbr), &ap_rates) {
+      medium(sim, phy::MixedModeTimings(), &loss, &rng),
+      ap(sim, &medium,
+         MakeQdisc(config, stations.size(), sim, medium.timings(), &ap_rates, &tbr),
+         &ap_rates) {
   ap.SetUplinkForward(std::move(uplink));
   for (const StationSpec& spec : stations) {
     if (spec.snr_db != 0.0) {
@@ -149,9 +154,6 @@ CellStack::CellStack(const ScenarioConfig& config, const std::vector<StationSpec
     ap.Associate(spec.id);
   }
 
-  if (tbr != nullptr && config.tbr.contention_contenders == 0) {
-    tbr->SetContentionContenders(static_cast<int>(stations.size()));
-  }
   if (tbr != nullptr && config.tbr.client_agent) {
     tbr->SetClientPauseFn([this](NodeId client, TimeNs until) {
       if (net::WirelessHost* h = host(client); h != nullptr) {

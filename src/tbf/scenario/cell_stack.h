@@ -32,10 +32,10 @@ namespace tbf::scenario {
 class CellStack {
  public:
   // Builds the cell in `sim` with an Rng seeded from `seed`, sending uplink frames
-  // addressed beyond the cell to `uplink`. Associates every station up front, pins
-  // TBR's contention divisor to the declared station count (so per-packet charges never
-  // depend on association order), wires the client agent when configured, and taps
-  // the AP's queue delays into `stats`. `sim` and `pool` must outlive the stack.
+  // addressed beyond the cell to `uplink`. Builds TBR for the declared station count
+  // (its contention divisor, so per-packet charges never depend on association order),
+  // associates every station up front, wires the client agent when configured, and
+  // taps the AP's queue delays into `stats`. `sim` and `pool` must outlive the stack.
   CellStack(const ScenarioConfig& config, const std::vector<StationSpec>& stations,
             uint64_t seed, sim::Simulator* sim, net::PacketPool* pool,
             ap::AccessPoint::ForwardFn uplink);

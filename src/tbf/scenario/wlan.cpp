@@ -9,7 +9,6 @@
 #include "tbf/util/logging.h"
 
 namespace tbf::scenario {
-
 Wlan::Wlan(ScenarioConfig config) : config_(config) {}
 
 Wlan::~Wlan() = default;
@@ -84,6 +83,11 @@ FlowSpec MakeTraceReplaySpec(const trace::ReplayFlow& flow, Transport transport)
 
 namespace {
 
+// A single cell's wired hop between the AP and the server: 100 Mbit/s Ethernet, 500 us
+// one way.
+constexpr BitRate kWiredRate = Mbps(100);
+constexpr TimeNs kWiredDelay = Us(500);
+
 // Appends printf-free formatted context for one flow's diagnostic.
 std::string FlowTag(size_t index, const FlowSpec& spec) {
   return "flow #" + std::to_string(index) + " (client " + std::to_string(spec.client) + ")";
@@ -93,7 +97,6 @@ std::string FlowTag(size_t index, const FlowSpec& spec) {
 // because every comparison with NaN is false.
 bool FiniteAtLeast(double x, double lo) { return std::isfinite(x) && x >= lo; }
 bool FiniteAbove(double x, double lo) { return std::isfinite(x) && x > lo; }
-bool Fraction(double x) { return x > 0.0 && x <= 1.0; }  // (0, 1].
 
 }  // namespace
 
@@ -106,60 +109,12 @@ std::string ValidateScenario(const ScenarioConfig& config,
   if (config.warmup < 0) {
     return "config: warmup must be >= 0";
   }
-  if (config.wired_rate <= 0) {
-    return "config: wired_rate must be > 0";
-  }
-  if (config.wired_delay < 0) {
-    return "config: wired_delay must be >= 0";
-  }
-  if (config.fifo_limit == 0) {
-    return "config: fifo_limit must be > 0";
-  }
-  if (config.per_queue_limit == 0) {
-    return "config: per_queue_limit must be > 0";
-  }
-  if (config.timings.slot <= 0 || config.timings.sifs < 0) {
-    return "config: MAC timings need slot > 0 and sifs >= 0";
-  }
-  if (config.timings.cw_min < 1 || config.timings.cw_max < config.timings.cw_min) {
-    return "config: contention window needs 1 <= cw_min <= cw_max";
-  }
-  if (config.timings.retry_limit < 1) {
-    return "config: retry_limit must be >= 1";
-  }
   if (config.qdisc == QdiscKind::kTbr) {
-    const core::TbrConfig& tbr = config.tbr;
-    if (tbr.fill_period <= 0 || tbr.bucket_depth <= 0 || tbr.initial_tokens < 0) {
-      return "config: TBR needs fill_period > 0, bucket_depth > 0, initial_tokens >= 0";
+    if (config.tbr.bucket_depth <= 0 || config.tbr.initial_tokens < 0) {
+      return "config: TBR needs bucket_depth > 0, initial_tokens >= 0";
     }
-    const std::pair<const char*, double> knobs[] = {
-        {"adjust_threshold", tbr.adjust_threshold},
-        {"usage_ewma_alpha", tbr.usage_ewma_alpha},
-        {"saturation_guard", tbr.saturation_guard},
-        {"min_rate", tbr.min_rate},
-        {"repair_step", tbr.repair_step},
-        {"demand_alpha", tbr.demand_alpha},
-        {"demand_active_threshold", tbr.demand_active_threshold},
-    };
-    for (const auto& [name, value] : knobs) {
-      if (!std::isfinite(value)) {
-        return std::string("config: TBR ") + name + " must be finite";
-      }
-    }
-    if (tbr.enable_rate_adjust &&
-        (tbr.adjust_period <= 0 || tbr.adjust_threshold <= 0.0 || tbr.min_rate <= 0.0 ||
-         !Fraction(tbr.usage_ewma_alpha))) {
-      return "config: TBR rate adjust needs adjust_period > 0, adjust_threshold > 0, "
-             "min_rate > 0, usage_ewma_alpha in (0, 1]";
-    }
-    if (tbr.contention_contenders < 0) {
-      return "config: TBR contention_contenders must be >= 0 (0 = associated count)";
-    }
-    if (tbr.mode == core::TbrMode::kFastEwma &&
-        (tbr.demand_period <= 0 || !Fraction(tbr.demand_alpha) ||
-         tbr.demand_active_threshold < 0.0)) {
-      return "config: TBR fast-EWMA needs demand_period > 0, demand_alpha in (0, 1], "
-             "demand_active_threshold >= 0";
+    if (stations.empty()) {
+      return "config: TBR needs a station (its contention divisor is the station count)";
     }
   }
 
@@ -261,7 +216,7 @@ void Wlan::Build() {
   }
   built_ = true;
 
-  wired_ = std::make_unique<net::WiredLink>(&sim_, config_.wired_rate, config_.wired_delay);
+  wired_ = std::make_unique<net::WiredLink>(&sim_, kWiredRate, kWiredDelay);
   net::WiredLink* wired = wired_.get();
   cell_ = std::make_unique<CellStack>(
       config_, station_specs_, config_.seed, &sim_, &packet_pool_,

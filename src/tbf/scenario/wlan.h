@@ -120,15 +120,13 @@ class ScenarioError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// What varies between scenarios. Every cell runs the 802.11b-compatible MAC profile
+// (phy::MixedModeTimings) with the AP buffers of ap/qdisc.h; a single cell's server sits
+// behind a fixed wired hop (wlan.cpp), a campus cell's behind its backbone link.
 struct ScenarioConfig {
   QdiscKind qdisc = QdiscKind::kFifo;
   core::TbrConfig tbr;          // Used when qdisc == kTbr.
-  size_t fifo_limit = 110;      // Stock kernel interface queue (Exp-Normal).
-  size_t per_queue_limit = 50;  // RR / DRR / OAR / TBR per-client queues.
-  phy::MacTimings timings = phy::MixedModeTimings();
   uint64_t seed = 1;
-  BitRate wired_rate = Mbps(100);
-  TimeNs wired_delay = Us(500);
   TimeNs warmup = Sec(2);       // Stats ignore this prefix.
   TimeNs duration = Sec(30);    // Measurement window length.
   // Metrology policy (windowed percentiles, sampled per-flow retention). The default
@@ -138,13 +136,13 @@ struct ScenarioConfig {
   friend bool operator==(const ScenarioConfig&, const ScenarioConfig&) = default;
 };
 
-// Validates a full scenario declaration up front: config ranges (nonzero rates and
-// durations, MAC timing sanity, finite TBR knobs), station bounds (ids in (0,
-// kServerId), unique, PER in [0,1], finite SNR, nonzero queues), and per-flow
-// requirements (declared station, packet size larger than its transport header,
-// task_bytes > 0 where a finite task is implied, finite positive on/off distribution
-// parameters, non-empty sorted replay logs). Returns an empty string when valid, else
-// a one-line diagnostic naming the offending entry.
+// Validates a full scenario declaration up front: config ranges (positive duration,
+// non-negative warmup, a positive TBR bucket and a station for TBR to regulate),
+// station bounds (ids in (0, kServerId), unique, PER in [0,1], finite SNR, nonzero
+// queues), and per-flow requirements (declared station, packet size larger than its
+// transport header, task_bytes > 0 where a finite task is implied, finite positive
+// on/off distribution parameters, non-empty sorted replay logs). Returns an empty
+// string when valid, else a one-line diagnostic naming the offending entry.
 std::string ValidateScenario(const ScenarioConfig& config,
                              const std::vector<StationSpec>& stations,
                              const std::vector<FlowSpec>& flows);

@@ -14,16 +14,23 @@
 #include "tbf/util/logging.h"
 
 namespace tbf::shard {
+namespace {
+
+// Every backbone link, in each direction: 1 Gbit/s with a 4096-packet queue.
+constexpr BitRate kBackboneRate = Mbps(1000);
+constexpr size_t kBackboneQueueLimit = 4096;
+
+}  // namespace
 
 // One BSS shard: a scenario::CellStack in the shard's own Simulator and PacketPool,
 // its backbone uplink into the core's mailbox, and the flows of its stations. The pool
 // is declared right after the Simulator so it outlives every component that can hold
 // packets, mirroring scenario::Wlan's member order.
 struct CampusSim::CellShard {
-  CellShard(const scenario::CampusConfig& config, const scenario::BssSpec& bss,
+  CellShard(const scenario::ScenarioConfig& cell, const scenario::BssSpec& bss,
             uint64_t seed, TimeNs delay)
-      : uplink(&sim, &to_core, config.backbone_rate, delay, config.backbone_queue_limit),
-        stack(config.cell, bss.stations, seed, &sim, &pool,
+      : uplink(&sim, &to_core, kBackboneRate, delay, kBackboneQueueLimit),
+        stack(cell, bss.stations, seed, &sim, &pool,
               [up = &uplink](net::PacketPtr p) { up->Send(std::move(p)); }) {}
 
   sim::Simulator sim;
@@ -274,12 +281,10 @@ void CampusSim::Build() {
     const TimeNs delay =
         bss_[i].backbone_delay > 0 ? bss_[i].backbone_delay : config_.backbone_delay;
     lookahead_ = lookahead_ == 0 ? delay : std::min(lookahead_, delay);
-    cells_.push_back(std::make_unique<CellShard>(config_, bss_[i],
-                                                 cc.seed + 1 + static_cast<uint64_t>(i),
-                                                 delay));
+    cells_.push_back(std::make_unique<CellShard>(
+        cc, bss_[i], cc.seed + 1 + static_cast<uint64_t>(i), delay));
     core_->downlinks.push_back(std::make_unique<ShardLink>(
-        &core_->sim, &core_->to_cell[i], config_.backbone_rate, delay,
-        config_.backbone_queue_limit));
+        &core_->sim, &core_->to_cell[i], kBackboneRate, delay, kBackboneQueueLimit));
   }
 
   int next_flow_id = 1;

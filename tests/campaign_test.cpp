@@ -303,24 +303,11 @@ TEST(CampaignCodecTest, TbrConfigRoundTripsExactly) {
   job.config.qdisc = scenario::QdiscKind::kTbr;
   core::TbrConfig& tbr = job.config.tbr;
   tbr.mode = core::TbrMode::kFastEwma;
-  tbr.fill_period = Ms(3);
   tbr.bucket_depth = Ms(21);
   tbr.initial_tokens = Ms(11);
   tbr.enable_rate_adjust = false;
-  tbr.adjust_period = Ms(400);
-  tbr.adjust_threshold = 0.07;
-  tbr.usage_ewma_alpha = 0.25;
-  tbr.saturation_guard = 0.9;
-  tbr.min_rate = 0.02;
-  tbr.maxmin_repair = false;
-  tbr.repair_step = 0.04;
   tbr.work_conserving_fallback = true;
-  tbr.demand_period = Ms(25);
-  tbr.demand_alpha = 0.45;
-  tbr.demand_active_threshold = 0.05;
   tbr.use_retry_info = true;
-  tbr.charge_contention_overhead = false;
-  tbr.contention_contenders = 7;
   tbr.client_agent = true;
   ASSERT_FALSE(tbr == core::TbrConfig{});
   const std::string blob = EncodeJob(job);
@@ -383,13 +370,13 @@ TEST(CampaignCodecTest, EveryWireEnumAcceptsItsLastValueAndRejectsThePast) {
 
 TEST(CampaignCodecTest, PreWindowedPayloadMagicsAreRejected) {
   const Manifest manifest = SmallManifest(1);
-  // Older job layouts led with "CAJ1".."CAJ3", older Results with "CAR1"; the decoder
+  // Older job layouts led with "CAJ1".."CAJ4", older Results with "CAR1"; the decoder
   // must reject them outright rather than misparse the old layout.
   const std::string job_blob = EncodeJob(manifest.jobs[0]);
-  ASSERT_EQ(job_blob[0], '4');  // Little-endian: byte 0 is the magic's last letter.
-  for (const char version : {'1', '2', '3'}) {
+  ASSERT_EQ(job_blob[0], '5');  // Little-endian: byte 0 is the magic's last letter.
+  for (const char version : {'1', '2', '3', '4'}) {
     std::string stale = job_blob;
-    stale[0] = version;  // "CAJ4" -> "CAJ<version>".
+    stale[0] = version;  // "CAJ5" -> "CAJ<version>".
     CampaignJob job_out;
     EXPECT_FALSE(DecodeJob(stale, &job_out)) << "CAJ" << version;
   }

@@ -32,10 +32,15 @@ mac::MacFrame MakeFrame(NodeId client, int ip_bytes, phy::WifiRate rate) {
   return mac::MakeDataFrame(kApId, client, MakePacket(client, ip_bytes), rate);
 }
 
+constexpr TimeNs kFillPeriod = TimeBasedRegulator::kFillPeriod;
+constexpr TimeNs kAdjustPeriod = TimeBasedRegulator::kAdjustPeriod;
+constexpr TimeNs kDemandPeriod = TimeBasedRegulator::kDemandPeriod;
+
 class TbrTest : public ::testing::Test {
  protected:
-  TimeBasedRegulator MakeTbr(TbrConfig config = {}) {
-    return TimeBasedRegulator(&sim_, phy::MixedModeTimings(), config);
+  // `contenders` is the cell's declared station count, the contention divisor.
+  TimeBasedRegulator MakeTbr(TbrConfig config = {}, size_t contenders = 1) {
+    return TimeBasedRegulator(&sim_, phy::MixedModeTimings(), config, contenders);
   }
 
   sim::Simulator sim_;
@@ -100,9 +105,7 @@ TEST_F(TbrTest, NegativeTokensGateDequeue) {
 }
 
 TEST_F(TbrTest, FillEventRestoresEligibility) {
-  TbrConfig config;
-  config.fill_period = Ms(1);
-  auto tbr = MakeTbr(config);
+  auto tbr = MakeTbr();
   int backlog_signals = 0;
   tbr.SetBacklogCallback([&] { ++backlog_signals; });
   tbr.OnAssociate(1);
@@ -121,7 +124,6 @@ TEST_F(TbrTest, FillEventRestoresEligibility) {
 TEST_F(TbrTest, BucketDepthCapsAccumulation) {
   TbrConfig config;
   config.bucket_depth = Ms(10);
-  config.fill_period = Ms(1);
   auto tbr = MakeTbr(config);
   tbr.OnAssociate(1);
   sim_.RunUntil(Sec(2));
@@ -130,7 +132,8 @@ TEST_F(TbrTest, BucketDepthCapsAccumulation) {
 }
 
 TEST_F(TbrTest, PerQueueLimitDrops) {
-  TimeBasedRegulator tbr(&sim_, phy::MixedModeTimings(), {}, /*per_queue_limit=*/3);
+  TimeBasedRegulator tbr(&sim_, phy::MixedModeTimings(), {}, /*contenders=*/1,
+                         /*per_queue_limit=*/3);
   for (int i = 0; i < 5; ++i) {
     tbr.Enqueue(MakePacket(7));
   }
@@ -139,8 +142,8 @@ TEST_F(TbrTest, PerQueueLimitDrops) {
 }
 
 TEST_F(TbrTest, EstimatorMatchesExchangeAirtimePlusContention) {
-  auto tbr = MakeTbr();
-  tbr.OnAssociate(1);  // One client: full contention allowance.
+  auto tbr = MakeTbr();  // One contender: full contention allowance.
+  tbr.OnAssociate(1);
   const phy::MacTimings t = phy::MixedModeTimings();
   const TimeNs expect = phy::DataExchangeAirtime(1536, phy::WifiRate::k11Mbps, t) +
                         t.Difs() + (t.cw_min / 2) * t.slot;
@@ -149,11 +152,8 @@ TEST_F(TbrTest, EstimatorMatchesExchangeAirtimePlusContention) {
 }
 
 TEST_F(TbrTest, EstimatorScalesContentionByClients) {
-  auto tbr = MakeTbr();
-  tbr.OnAssociate(1);
-  const TimeNs solo = tbr.EstimateOccupancy(1536, phy::WifiRate::k11Mbps, 1);
-  tbr.OnAssociate(2);
-  const TimeNs duo = tbr.EstimateOccupancy(1536, phy::WifiRate::k11Mbps, 1);
+  const TimeNs solo = MakeTbr({}, 1).EstimateOccupancy(1536, phy::WifiRate::k11Mbps, 1);
+  const TimeNs duo = MakeTbr({}, 2).EstimateOccupancy(1536, phy::WifiRate::k11Mbps, 1);
   EXPECT_LT(duo, solo);
 }
 
@@ -255,19 +255,21 @@ TEST_F(TbrTest, StrictModeIdlesWhenNoTokens) {
   EXPECT_EQ(tbr.QueuedPackets(), 1u);
 }
 
+// Occupancy that uses up `client`'s whole assignment for one adjustment window.
+TimeNs Assignment(const TimeBasedRegulator& tbr, NodeId client) {
+  return static_cast<TimeNs>(tbr.rate(client) * static_cast<double>(kAdjustPeriod));
+}
+
 TEST_F(TbrTest, AdjustEventDonatesFromPersistentUnderUtilizer) {
-  TbrConfig config;
-  config.adjust_period = Ms(100);
-  config.usage_ewma_alpha = 1.0;  // React immediately for the unit test.
-  auto tbr = MakeTbr(config);
+  auto tbr = MakeTbr();
   tbr.OnAssociate(1);
   tbr.OnAssociate(2);
   // Client 1 consumes nothing; client 2 consumes its full assignment each window.
   for (int window = 0; window < 8; ++window) {
-    const TimeNs target = sim_.Now() + Ms(100);
-    // 50 ms of charged occupancy in a 100 ms window = client 2's full 0.5 share.
+    const TimeNs target = sim_.Now() + kAdjustPeriod;
+    const TimeNs assigned = Assignment(tbr, 2);
     tbr.OnTxComplete(MakeFrame(2, 1500, phy::WifiRate::k11Mbps), true, 1, 0);
-    while (tbr.actual_usage(2) < Ms(50)) {
+    while (tbr.actual_usage(2) < assigned) {
       tbr.OnTxComplete(MakeFrame(2, 1500, phy::WifiRate::k11Mbps), true, 1, 0);
     }
     sim_.RunUntil(target);
@@ -283,16 +285,14 @@ TEST_F(TbrTest, LateJoinPreservesConvergedRates) {
   // client joining after the adjuster had converged wiped the learned allocation back
   // to the static 1/N split. A newcomer must take only its fair share, scaling the
   // converged rates down proportionally.
-  TbrConfig config;
-  config.adjust_period = Ms(100);
-  config.usage_ewma_alpha = 1.0;
-  auto tbr = MakeTbr(config);
+  auto tbr = MakeTbr();
   tbr.OnAssociate(1);
   tbr.OnAssociate(2);
   // Client 1 idles; client 2 saturates its assignment, so the adjuster donates to it.
   for (int window = 0; window < 8; ++window) {
-    const TimeNs target = sim_.Now() + Ms(100);
-    while (tbr.actual_usage(2) < Ms(50)) {
+    const TimeNs target = sim_.Now() + kAdjustPeriod;
+    const TimeNs assigned = Assignment(tbr, 2);
+    while (tbr.actual_usage(2) < assigned) {
       tbr.OnTxComplete(MakeFrame(2, 1500, phy::WifiRate::k11Mbps), true, 1, 0);
     }
     sim_.RunUntil(target);
@@ -321,10 +321,8 @@ TEST_F(TbrTest, PinnedContendersMakeChargesAssociationInvariant) {
   // Regression: the contention allowance divided by clients_.size(), so identical
   // traffic drained different token amounts depending on whether peers had already
   // associated (lazy association via Enqueue vs upfront OnAssociate). With the
-  // contender count pinned to the scenario's station count the charge is invariant.
-  TbrConfig config;
-  config.contention_contenders = 3;
-  auto tbr = MakeTbr(config);
+  // contender count fixed at the scenario's station count the charge is invariant.
+  auto tbr = MakeTbr({}, 3);
   tbr.OnAssociate(1);
   const TimeNs solo = tbr.EstimateOccupancy(1536, phy::WifiRate::k11Mbps, 1);
   tbr.OnAssociate(2);
@@ -333,7 +331,7 @@ TEST_F(TbrTest, PinnedContendersMakeChargesAssociationInvariant) {
 
   // Upfront association and lazy association now bill the same traffic identically.
   auto run_order = [&](bool lazy) {
-    auto t = MakeTbr(config);
+    auto t = MakeTbr({}, 3);
     t.OnAssociate(1);
     if (!lazy) {
       t.OnAssociate(2);
@@ -352,7 +350,7 @@ TEST_F(TbrTest, PinnedContendersMakeChargesAssociationInvariant) {
   // And full association-order permutations leave every client's drain identical:
   // the regulator's results are a function of the traffic, not of join order.
   auto run_perm = [&](const std::vector<NodeId>& order) {
-    auto t = MakeTbr(config);
+    auto t = MakeTbr({}, 3);
     for (const NodeId id : order) {
       t.OnAssociate(id);
     }
@@ -399,7 +397,7 @@ TEST_F(TbrTest, ClientAgentPausesIndebtedClient) {
 }
 
 // The paper's FILLEVENT run eagerly beside the regulator: every tick adds
-// rate_i * fill_period to every client's bucket and clamps it at bucket_depth. It
+// rate_i * kFillPeriod to every client's bucket and clamps it at bucket_depth. It
 // mirrors the tokens and queue lengths of the same op stream, and takes the rates from
 // the regulator, whose rate logic is not what this checks.
 class EagerFillReference {
@@ -455,8 +453,7 @@ class EagerFillReference {
     for (const NodeId c : clients_) {
       const auto i = static_cast<size_t>(c);
       const bool was = Eligible(c);
-      const auto fill =
-          static_cast<TimeNs>(tbr.rate(c) * static_cast<double>(config_.fill_period));
+      const auto fill = static_cast<TimeNs>(tbr.rate(c) * static_cast<double>(kFillPeriod));
       tokens_[i] = std::min(tokens_[i] + fill, config_.bucket_depth);
       crossed = crossed || (!was && Eligible(c));
     }
@@ -494,7 +491,8 @@ class LazyFillHarness {
  public:
   explicit LazyFillHarness(const TbrConfig& config)
       : config_(config),
-        tbr_(&sim_, phy::MixedModeTimings(), config, /*per_queue_limit=*/6),
+        tbr_(&sim_, phy::MixedModeTimings(), config, /*contenders=*/6,
+             /*per_queue_limit=*/6),
         ref_(config) {
     tbr_.SetBacklogCallback([this] { lazy_notified_.push_back(sim_.Now()); });
     tbr_.SetClientPauseFn([](NodeId, TimeNs) {});
@@ -547,7 +545,7 @@ class LazyFillHarness {
       return "before tick " + std::to_string(ticks_ + 1) + ": " + mismatch;
     }
     ++ticks_;
-    sim_.RunUntil(ticks_ * config_.fill_period);
+    sim_.RunUntil(ticks_ * kFillPeriod);
     if (ref_.Tick(tbr_)) {
       eager_notified_.push_back(sim_.Now());
     }
@@ -694,12 +692,10 @@ TEST_F(TbrTest, LazyFillMatchesEagerWorkConservingFallback) {
   ExpectLazyFillMatchesEagerOverSeeds(config);
 }
 
-TEST_F(TbrTest, LazyFillMatchesEagerShallowBucketFastTicks) {
-  // A bucket shallower than the initial tokens, a 1 ms tick, and a 40 ms adjuster.
+TEST_F(TbrTest, LazyFillMatchesEagerShallowBucket) {
+  // A bucket shallower than the initial tokens, so fills clamp often.
   TbrConfig config;
   config.bucket_depth = Ms(3);
-  config.fill_period = Ms(1);
-  config.adjust_period = Ms(40);
   ExpectLazyFillMatchesEagerOverSeeds(config);
 }
 
@@ -715,7 +711,7 @@ TEST_F(TbrTest, DemandEventSeesDebtTheFillRepaidUnseen) {
   // in one uplink burst and is never touched again; client 1 stays backlogged. The
   // fill repays client 2 about 1.5 s in, long after its usage has decayed, and the
   // first demand event after that must see the debt repaid although nothing has
-  // folded the latest ticks into client 2's bucket: it parks the client at min_rate.
+  // folded the latest ticks into client 2's bucket: it parks the client at kMinRate.
   TbrConfig config;
   config.mode = TbrMode::kFastEwma;
   LazyFillHarness h(config);
@@ -731,29 +727,28 @@ TEST_F(TbrTest, DemandEventSeesDebtTheFillRepaidUnseen) {
     ASSERT_LT(h.ticks(), 2000);
   }
   ASSERT_GT(h.ticks(), 600);  // Repaid after the usage decayed below the threshold.
-  const int64_t ticks_per_demand = config.demand_period / config.fill_period;
-  while (h.ticks() % ticks_per_demand != 0) {
+  while (h.ticks() % (kDemandPeriod / kFillPeriod) != 0) {
     ASSERT_EQ(h.Tick(), "");
   }
-  EXPECT_DOUBLE_EQ(h.tbr().rate(2), config.min_rate);
-  EXPECT_DOUBLE_EQ(h.tbr().rate(1), 1.0 - config.min_rate);
+  EXPECT_DOUBLE_EQ(h.tbr().rate(2), TimeBasedRegulator::kMinRate);
+  EXPECT_DOUBLE_EQ(h.tbr().rate(1), 1.0 - TimeBasedRegulator::kMinRate);
 }
 
 TEST_F(TbrTest, IdleRegulatorRunsOnlyRateEvents) {
-  // With nothing queued, the fill ticks that run are the first after each rate change
-  // (the association, then every rate event); the other 2 ms ticks only count.
+  // With nothing queued, the only fill tick that runs is the first after the
+  // association moved the rates. The rate events move none (an idle cell keeps its fair
+  // split), so they arm no tick, and the other 2 ms ticks only count.
   for (const TbrMode mode : {TbrMode::kStock, TbrMode::kFastEwma}) {
     SCOPED_TRACE(mode == TbrMode::kStock ? "stock" : "fast-EWMA");
     TbrConfig config;
     config.mode = mode;
     sim::Simulator sim;
-    TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config);
+    TimeBasedRegulator tbr(&sim, phy::MixedModeTimings(), config, /*contenders=*/8);
     for (NodeId c = 1; c <= 8; ++c) {
       tbr.OnAssociate(c);
     }
-    const TimeNs period =
-        mode == TbrMode::kStock ? config.adjust_period : config.demand_period;
-    EXPECT_LE(sim.RunUntil(Sec(10)), 2 * (Sec(10) / period) + 1);
+    const TimeNs period = mode == TbrMode::kStock ? kAdjustPeriod : kDemandPeriod;
+    EXPECT_LE(sim.RunUntil(Sec(10)), Sec(10) / period + 1);
   }
 }
 

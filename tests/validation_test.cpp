@@ -64,42 +64,25 @@ TEST(ScenarioValidationTest, ConfigBoundsAreEnforced) {
   }
   {
     ScenarioConfig config = BaseConfig();
-    config.timings.cw_max = config.timings.cw_min - 1;
-    ExpectInvalid(config, {Station(1)}, {}, "cw_min");
-  }
-  {
-    ScenarioConfig config = BaseConfig();
     config.qdisc = QdiscKind::kTbr;
-    config.tbr.fill_period = 0;
+    config.tbr.bucket_depth = 0;
     ExpectInvalid(config, {Station(1)}, {}, "TBR");
   }
-}
-
-TEST(ScenarioValidationTest, FastEwmaKnobsAreValidatedOnlyInFastEwmaMode) {
-  ScenarioConfig bad_alpha = BaseConfig();
-  bad_alpha.qdisc = QdiscKind::kTbr;
-  bad_alpha.tbr.mode = core::TbrMode::kFastEwma;
-  bad_alpha.tbr.demand_alpha = 1.5;
-  ExpectInvalid(bad_alpha, {Station(1)}, {}, "fast-EWMA");
-
-  ScenarioConfig bad_period = BaseConfig();
-  bad_period.qdisc = QdiscKind::kTbr;
-  bad_period.tbr.mode = core::TbrMode::kFastEwma;
-  bad_period.tbr.demand_period = 0;
-  ExpectInvalid(bad_period, {Station(1)}, {}, "fast-EWMA");
-
-  // Stock TBR never reads the demand knobs, so the same values are not an error.
-  for (ScenarioConfig config : {bad_alpha, bad_period}) {
-    config.tbr.mode = core::TbrMode::kStock;
-    EXPECT_EQ(ValidateScenario(config, {Station(1)}, {BulkTcp(1)}), "");
+  {
+    // TBR's contention allowance divides by the declared station count.
+    ScenarioConfig config = BaseConfig();
+    config.qdisc = QdiscKind::kTbr;
+    ExpectInvalid(config, {}, {}, "TBR needs a station");
+    config.qdisc = QdiscKind::kFifo;
+    EXPECT_EQ(ValidateScenario(config, {}, {}), "");
   }
 }
 
 TEST(ScenarioValidationTest, NonFiniteDoublesAreRejectedEverywhere) {
   // Every comparison with NaN is false, so a range check written as `x < bound` lets
-  // NaN through; a NaN snr_db silently disables loss, and a NaN think time or min_rate
-  // reaches a float-to-int cast. Each double of StationSpec, FlowSpec::onoff and
-  // TbrConfig must be finite, in both TBR modes.
+  // NaN through; a NaN snr_db silently disables loss, and a NaN think time reaches a
+  // float-to-int cast. Each double of StationSpec and FlowSpec::onoff must be finite,
+  // in both TBR modes.
   struct Case {
     const char* field;
     std::function<void(ScenarioConfig*, StationSpec*, FlowSpec*, double)> set;
@@ -113,21 +96,6 @@ TEST(ScenarioValidationTest, NonFiniteDoublesAreRejectedEverywhere) {
        [](ScenarioConfig*, StationSpec*, FlowSpec* f, double v) { f->onoff.pareto_alpha = v; }},
       {"mean_think_sec",
        [](ScenarioConfig*, StationSpec*, FlowSpec* f, double v) { f->onoff.mean_think_sec = v; }},
-      {"adjust_threshold",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.adjust_threshold = v; }},
-      {"usage_ewma_alpha",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.usage_ewma_alpha = v; }},
-      {"saturation_guard",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.saturation_guard = v; }},
-      {"min_rate", [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.min_rate = v; }},
-      {"repair_step",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.repair_step = v; }},
-      {"demand_alpha",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) { c->tbr.demand_alpha = v; }},
-      {"demand_active_threshold",
-       [](ScenarioConfig* c, StationSpec*, FlowSpec*, double v) {
-         c->tbr.demand_active_threshold = v;
-       }},
   };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (const core::TbrMode mode : {core::TbrMode::kStock, core::TbrMode::kFastEwma}) {
@@ -147,24 +115,6 @@ TEST(ScenarioValidationTest, NonFiniteDoublesAreRejectedEverywhere) {
       }
     }
   }
-}
-
-TEST(ScenarioValidationTest, UsageEwmaAlphaMustBeAFraction) {
-  // The stock adjuster smooths usage with usage_ewma_alpha; outside (0, 1] the EWMA
-  // stops averaging (0 never moves, above 1 overshoots and oscillates).
-  for (const double alpha : {0.0, -0.5, 1.0001, 7.0}) {
-    ScenarioConfig config = BaseConfig();
-    config.qdisc = QdiscKind::kTbr;
-    config.tbr.usage_ewma_alpha = alpha;
-    ExpectInvalid(config, {Station(1)}, {}, "usage_ewma_alpha");
-    // Without rate adjustment nothing reads it.
-    config.tbr.enable_rate_adjust = false;
-    EXPECT_EQ(ValidateScenario(config, {Station(1)}, {BulkTcp(1)}), "") << alpha;
-  }
-  ScenarioConfig edge = BaseConfig();
-  edge.qdisc = QdiscKind::kTbr;
-  edge.tbr.usage_ewma_alpha = 1.0;
-  EXPECT_EQ(ValidateScenario(edge, {Station(1)}, {BulkTcp(1)}), "");
 }
 
 TEST(ScenarioValidationTest, StationSpecsAreValidatedWithIdentity) {
