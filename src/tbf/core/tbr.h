@@ -10,7 +10,7 @@
 //                                         that only counts, and a client catches up on
 //                                         the ticks it missed when touched. FillEvent()
 //                                         runs only at armed ticks: the first after a
-//                                         rate change, and the earliest tick of a wake
+//                                         rate moved, and the earliest tick of a wake
 //                                         heap naming when each backlogged, indebted
 //                                         client turns eligible
 //   APPTXEVENT      -> Enqueue()          append packet to queue_i
@@ -19,11 +19,15 @@
 //                      OnUplinkObserved()
 //   ADJUSTRATEEVENT -> AdjustRateEvent()  max-min redistribution of under-used rate
 //
+// The fixed parameters - the paper's 2 ms fill tick, 500 ms ADJUSTRATEEVENT and threshold
+// Rth, and fast-EWMA's 50 ms demand event - are constants of the regulator (kFillPeriod
+// and on); TbrConfig holds only what a scenario chooses.
+//
 // Occupancy is *estimated* the way a driver would: PLCP + data + SIFS + ACK from (size,
 // rate), plus a deterministic contention allowance divided by the cell's declared station
-// count, a constructor argument. Like the paper's HostAP implementation,
-// TBR by default has no retransmission information (use_retry_info=false), which slightly
-// biases against nodes whose failed attempts go unseen - the Exp-TBR vs Eq.12 gap the paper
+// count, a constructor argument. Like the paper's HostAP implementation, TBR by default
+// has no retransmission information (use_retry_info=false), which slightly biases
+// against nodes whose failed attempts go unseen - the Exp-TBR vs Eq.12 gap the paper
 // reports. Enabling use_retry_info charges ground-truth per-attempt airtime instead.
 //
 // Uplink regulation needs no client changes for TCP: while tokens_i <= 0 the whole of
@@ -61,8 +65,6 @@ enum class TbrMode : int {
   kLast = kFastEwma,  // Range sentinel for decoders; an alias, not a mode.
 };
 
-// What a scenario chooses about its regulator. The periods and thresholds the paper
-// fixes are constants of the regulator (TimeBasedRegulator::kFillPeriod and on).
 struct TbrConfig {
   TbrMode mode = TbrMode::kStock;
 
