@@ -14,7 +14,7 @@ TimeBasedRegulator::TimeBasedRegulator(sim::Simulator* sim, phy::MacTimings timi
       config_(config),
       contenders_(static_cast<TimeNs>(contenders)),
       per_queue_limit_(per_queue_limit) {
-  TBF_CHECK(contenders > 0) << "TBR's contention allowance needs the cell's station count";
+  TBF_CHECK(contenders > 0) << "TBR's contention divisor is the cell's station count";
 }
 
 void TimeBasedRegulator::OnAssociate(NodeId client) { GetOrAssociate(client); }

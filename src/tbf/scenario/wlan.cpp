@@ -9,6 +9,7 @@
 #include "tbf/util/logging.h"
 
 namespace tbf::scenario {
+
 Wlan::Wlan(ScenarioConfig config) : config_(config) {}
 
 Wlan::~Wlan() = default;

@@ -453,7 +453,8 @@ class EagerFillReference {
     for (const NodeId c : clients_) {
       const auto i = static_cast<size_t>(c);
       const bool was = Eligible(c);
-      const auto fill = static_cast<TimeNs>(tbr.rate(c) * static_cast<double>(kFillPeriod));
+      const auto fill =
+          static_cast<TimeNs>(tbr.rate(c) * static_cast<double>(kFillPeriod));
       tokens_[i] = std::min(tokens_[i] + fill, config_.bucket_depth);
       crossed = crossed || (!was && Eligible(c));
     }
