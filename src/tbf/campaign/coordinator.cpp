@@ -36,6 +36,7 @@ Coordinator::Coordinator(Manifest manifest, CoordinatorConfig config)
     throw CampaignError("empty manifest");
   }
   jobs_.resize(manifest_.jobs.size());
+  pending_count_ = static_cast<int64_t>(jobs_.size());
   result_blobs_.resize(manifest_.jobs.size());
   job_blobs_.reserve(manifest_.jobs.size());
   for (const CampaignJob& job : manifest_.jobs) {
@@ -116,6 +117,7 @@ void Coordinator::LoadWal() {
       if (jobs_[msg.job].status != JobStatus::kDone) {
         jobs_[msg.job].status = JobStatus::kDone;
         result_blobs_[msg.job] = std::move(blob);
+        --pending_count_;
         ++done_count_;
         ++stats_.resumed;
       }
@@ -181,6 +183,20 @@ void Coordinator::CompleteJob(int64_t job, std::string blob, bool from_wal) {
   ++stats_.completed;
 }
 
+// A pending job goes to a worker or runs locally: one attempt.
+void Coordinator::StartJob(int64_t job) {
+  JobState& state = jobs_[job];
+  state.status = JobStatus::kDispatched;
+  ++state.attempts;
+  --pending_count_;
+}
+
+void Coordinator::MakePending(int64_t job) {
+  jobs_[job].status = JobStatus::kPending;
+  first_pending_ = std::min(first_pending_, static_cast<size_t>(job));
+  ++pending_count_;
+}
+
 void Coordinator::RequeueJob(int64_t job, const char* why) {
   JobState& state = jobs_[job];
   if (state.status != JobStatus::kDispatched) {
@@ -191,8 +207,7 @@ void Coordinator::RequeueJob(int64_t job, const char* why) {
                         std::to_string(state.attempts) + " attempts (last: " + why +
                         ")");
   }
-  state.status = JobStatus::kPending;
-  first_pending_ = std::min(first_pending_, static_cast<size_t>(job));
+  MakePending(job);
   // Exponential backoff keeps a flapping worker pool from hammering the same job.
   int64_t backoff = config_.backoff_base_ms;
   for (int i = 1; i < state.attempts && backoff < config_.backoff_max_ms; ++i) {
@@ -203,8 +218,16 @@ void Coordinator::RequeueJob(int64_t job, const char* why) {
   ++stats_.redispatched;
 }
 
+void Coordinator::ReleaseJob(int64_t job) {
+  // The worker never started it, so it goes back as it was: the attempt StartJob
+  // counted is returned, and there is no backoff. Were it an attempt, a job queued
+  // behind crashing workers could run out of attempts without ever running.
+  --jobs_[job].attempts;
+  MakePending(job);
+}
+
 int64_t Coordinator::NextReadyJob() {
-  // Every job below first_pending_ is dispatched or done, and RequeueJob lowers the
+  // Every job below first_pending_ is dispatched or done, and MakePending lowers the
   // mark when a job turns pending again, so a scan resumes where the last one found
   // work instead of at job 0 (O(jobs) per campaign, not O(jobs^2)).
   while (first_pending_ < jobs_.size() &&
@@ -220,37 +243,96 @@ int64_t Coordinator::NextReadyJob() {
   return -1;
 }
 
+int64_t Coordinator::GreetedConns() const {
+  return std::count_if(conns_.begin(), conns_.end(), [](const std::unique_ptr<Conn>& c) {
+    return c->fd >= 0 && c->saw_hello;
+  });
+}
+
 void Coordinator::HandleRequest(Conn& conn) {
-  if (conn.job >= 0) {
-    DropConn(conn, "request while holding a job");
+  // A worker sends a request only after the running job's result, so it never
+  // holds two jobs when it asks.
+  if (conn.queued >= 0) {
+    DropConn(conn, "request while holding two jobs");
     return;
   }
-  const int64_t job = NextReadyJob();
-  if (job < 0) {
-    Message wait;
-    wait.type = "wait";
-    wait.ms = std::max(1, config_.backoff_base_ms);
-    SendLine(conn.fd, FormatMessage(wait));
+  // Deal a running job to an idle connection, then one queued behind it. A worker
+  // reads one line per request, in order: a queued job's line is the one it reads
+  // after its next result. So a request from a connection that holds a job (the
+  // queued one, which this request's result promoted) may get no line at all.
+  // A connection's first job goes alone: the other workers may not have connected
+  // yet. And a job is queued only while more jobs are pending than there are
+  // workers, so the tail of the campaign goes out one job per worker.
+  const bool queue = conn.dealt && pending_count_ > GreetedConns();
+  int64_t picked[2] = {-1, -1};
+  int count = 0;
+  if (conn.job < 0) {
+    const int64_t job = NextReadyJob();
+    if (job < 0) {
+      Message wait;
+      wait.type = "wait";
+      wait.ms = std::max(1, config_.backoff_base_ms);
+      SendLine(conn.fd, FormatMessage(wait));
+      return;
+    }
+    StartJob(job);
+    picked[count++] = job;
+  }
+  if (queue) {
+    const int64_t job = NextReadyJob();
+    if (job >= 0) {
+      StartJob(job);
+      picked[count++] = job;
+    }
+  }
+  if (count == 0) {
     return;
   }
-  JobState& state = jobs_[job];
-  state.status = JobStatus::kDispatched;
-  ++state.attempts;
-  Message dispatch;
-  dispatch.type = "job";
-  dispatch.job = job;
-  dispatch.len = static_cast<int64_t>(job_blobs_[job].size());
-  dispatch.crc = static_cast<int64_t>(Crc32(job_blobs_[job]));
-  dispatch.data = HexEncode(job_blobs_[job]);
-  if (!SendLine(conn.fd, FormatMessage(dispatch))) {
-    RequeueJob(job, "send failed");
-    DropConn(conn, "send failed");
+  // Both lines go out in one write, so a worker that reads the first has the second.
+  std::string lines;
+  for (int i = 0; i < count; ++i) {
+    const std::string& blob = job_blobs_[picked[i]];
+    Message dispatch;
+    dispatch.type = "job";
+    dispatch.job = picked[i];
+    dispatch.len = static_cast<int64_t>(blob.size());
+    dispatch.crc = static_cast<int64_t>(Crc32(blob));
+    dispatch.data = HexEncode(blob);
+    if (i > 0) {
+      lines.push_back('\n');
+    }
+    lines += FormatMessage(dispatch);
+  }
+  if (!SendLine(conn.fd, lines)) {
+    // A send fails only once the peer has gone, so no job in it reached the worker:
+    // each goes back unstarted and is not counted as dispatched. The connection is
+    // dropped when its read side reports EOF, not here, so a result the worker wrote
+    // before it closed is still handled. The half-close tells a peer that somehow
+    // still reads to close as well.
+    for (int i = 0; i < count; ++i) {
+      ReleaseJob(picked[i]);
+    }
+    ::shutdown(conn.fd, SHUT_WR);
     return;
   }
-  conn.job = job;
+  stats_.dispatched += count;
+  conn.dealt = true;
+  for (int i = 0; i < count; ++i) {
+    if (conn.job < 0) {
+      conn.job = picked[i];
+      conn.dispatched_at = Clock::now();
+    } else {
+      conn.queued = picked[i];
+    }
+  }
+}
+
+// The running job ended with a result or an error: the queued job, if any, becomes
+// the running job, and its job_timeout_ms clock starts now.
+void Coordinator::PromoteQueuedJob(Conn& conn) {
+  conn.job = conn.queued;
+  conn.queued = -1;
   conn.dispatched_at = Clock::now();
-  conn.last_seen = conn.dispatched_at;
-  ++stats_.dispatched;
 }
 
 void Coordinator::HandleResult(Conn& conn, const Message& msg) {
@@ -260,7 +342,7 @@ void Coordinator::HandleResult(Conn& conn, const Message& msg) {
   const char* reject = nullptr;
   std::string blob;
   if (msg.job != conn.job) {
-    reject = "result for a job this connection does not hold";
+    reject = "result for a job this connection is not running";
   } else if (!HexDecode(msg.data, &blob)) {
     reject = "payload is not valid hex";
   } else if (msg.len != static_cast<int64_t>(blob.size())) {
@@ -284,8 +366,7 @@ void Coordinator::HandleResult(Conn& conn, const Message& msg) {
     return;
   }
   const int64_t job = conn.job;
-  conn.job = -1;
-  conn.last_seen = Clock::now();
+  PromoteQueuedJob(conn);
   CompleteJob(job, std::move(blob), /*from_wal=*/false);
 }
 
@@ -328,8 +409,8 @@ void Coordinator::HandleLine(Conn& conn, const std::string& line) {
     ++stats_.worker_errors;
     if (conn.job >= 0) {
       RequeueJob(conn.job, msg.error.empty() ? "worker error" : msg.error.c_str());
-      conn.job = -1;
     }
+    PromoteQueuedJob(conn);
   } else {
     if (conn.job >= 0) {
       RequeueJob(conn.job, "unknown message type");
@@ -348,6 +429,12 @@ void Coordinator::DropConn(Conn& conn, const char* why) {
     ++stats_.worker_disconnects;
     RequeueJob(conn.job, "worker disconnected");
     conn.job = -1;
+  }
+  // Whatever ended the connection, the worker never started its queued job.
+  if (conn.queued >= 0) {
+    ReleaseJob(conn.queued);
+    ++stats_.released;
+    conn.queued = -1;
   }
   ::close(conn.fd);
   conn.fd = -1;
@@ -378,9 +465,7 @@ void Coordinator::SweepDeadlines() {
 }
 
 void Coordinator::RunOneJobLocally(int64_t job) {
-  JobState& state = jobs_[job];
-  state.status = JobStatus::kDispatched;
-  ++state.attempts;
+  StartJob(job);
   ++stats_.local_runs;
   // The local path produces bytes through the exact same encoder as a worker, so
   // archives cannot diverge based on where a job happened to run.
@@ -487,14 +572,7 @@ bool Coordinator::Run() {
 
     // Track worker presence for graceful degradation: any live, greeted
     // connection counts.
-    bool have_worker = false;
-    for (const auto& conn : conns_) {
-      if (conn->fd >= 0 && conn->saw_hello) {
-        have_worker = true;
-        break;
-      }
-    }
-    if (have_worker) {
+    if (GreetedConns() > 0) {
       last_worker_seen_ = Clock::now();
     } else if (config_.local_fallback_after_ms >= 0 &&
                Clock::now() - last_worker_seen_ >

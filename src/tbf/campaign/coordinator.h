@@ -8,15 +8,27 @@
 //
 //  * A result is merged only after validation: hex decodes, length matches, CRC32
 //    matches, the Results blob decodes against the schema, AND it answers the job
-//    this connection was actually dispatched (anything else is discarded, the job
-//    re-queued, and the connection dropped as faulty). A truncated or corrupt
+//    this connection is running (anything else is discarded, the job re-queued,
+//    and the connection dropped as faulty). A truncated or corrupt
 //    payload can delay a campaign; it can never poison the output.
-//  * Every dispatched job has two clocks running: a heartbeat deadline (worker must
-//    keep proving liveness while the scenario runs) and an absolute per-job deadline.
-//    Either expiring kills the connection and re-queues the job with exponential
-//    backoff (base * 2^(attempt-1), capped) and a bounded attempt count - a job that
-//    keeps failing takes the campaign down loudly (CampaignError) instead of
-//    spinning forever.
+//  * A connection holds at most two jobs: the one its worker runs and one queued
+//    behind it, whose line waits in the worker's input so the worker starts it as
+//    soon as it has written the running job's result. A connection's first job is
+//    dealt alone (by its first result the other workers have connected), and a
+//    second job is queued only while more jobs are pending than there are greeted
+//    connections, so the tail of a campaign goes out one job per worker. A result
+//    or heartbeat must name the running job.
+//  * The running job has two clocks: a heartbeat deadline (the worker must keep
+//    proving liveness while the scenario runs) and an absolute per-job deadline,
+//    which starts when the job becomes the running one. Either expiring kills the
+//    connection and re-queues the job with exponential backoff (base *
+//    2^(attempt-1), capped) and a bounded attempt count - a job that keeps failing
+//    takes the campaign down loudly (CampaignError) instead of spinning forever.
+//  * A queued job the worker never started goes back pending unstarted, whatever
+//    ended its connection: no attempt, no backoff, no re-dispatch. So does a job
+//    whose send failed, which is not counted as dispatched either. Every campaign
+//    that finishes balances dispatched + local_runs == completed + redispatched +
+//    released.
 //  * Completions go through a write-ahead log: the record (job id + length + CRC +
 //    payload) is appended and flushed *before* the job is counted done, so a
 //    coordinator killed at any instant resumes by re-running only jobs with no valid
@@ -72,7 +84,9 @@ struct CoordinatorStats {
   int64_t completed = 0;           // Jobs completed this run (local + remote).
   int64_t resumed = 0;             // Jobs recovered from the completion log.
   int64_t dispatched = 0;          // Job messages sent to workers.
-  int64_t redispatched = 0;        // Re-queues after any failure.
+  int64_t redispatched = 0;        // Re-queues of a running job after any failure.
+  int64_t released = 0;            // Queued jobs returned unstarted by a dropped
+                                   // connection.
   int64_t rejected_payloads = 0;   // Results discarded by validation.
   int64_t worker_disconnects = 0;  // Connections that died holding a job.
   int64_t heartbeat_timeouts = 0;
@@ -113,8 +127,15 @@ class Coordinator {
     int fd = -1;
     LineReader reader;
     bool saw_hello = false;
-    int64_t job = -1;                    // Dispatched job, -1 when idle.
-    Clock::time_point dispatched_at{};
+    bool dealt = false;                  // Was ever dealt a job (the first goes alone).
+    // The running job, which the next result or heartbeat must name; -1 when the
+    // connection holds nothing. `queued` is the job dealt behind it, unstarted: the
+    // worker reads its line after writing `job`'s result, so it becomes the running
+    // job when that result (or an error) arrives. -1 when absent, always while `job`
+    // is.
+    int64_t job = -1;
+    int64_t queued = -1;
+    Clock::time_point dispatched_at{};   // When `job` became the running job.
     Clock::time_point last_seen{};
     std::string name;
   };
@@ -122,12 +143,17 @@ class Coordinator {
   void LoadWal();
   void AppendWalRecord(int64_t job, const std::string& blob);
   void CompleteJob(int64_t job, std::string blob, bool from_wal);
+  void StartJob(int64_t job);
+  void MakePending(int64_t job);
   void RequeueJob(int64_t job, const char* why);
+  void ReleaseJob(int64_t job);
   int64_t NextReadyJob();
+  int64_t GreetedConns() const;
   bool AllJobsDone() const { return done_count_ == static_cast<int64_t>(jobs_.size()); }
   void HandleLine(Conn& conn, const std::string& line);
   void HandleRequest(Conn& conn);
   void HandleResult(Conn& conn, const Message& msg);
+  void PromoteQueuedJob(Conn& conn);
   void DropConn(Conn& conn, const char* why);
   void SweepDeadlines();
   void RunOneJobLocally(int64_t job);
@@ -141,6 +167,7 @@ class Coordinator {
   std::vector<std::string> job_blobs_;     // Encoded job specs, built once.
   std::vector<std::string> result_blobs_;  // Validated EncodeResults bytes, by job.
   size_t first_pending_ = 0;               // No job below this index is pending.
+  int64_t pending_count_ = 0;
   int64_t done_count_ = 0;
 
   int listen_fd_ = -1;

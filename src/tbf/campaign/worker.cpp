@@ -151,7 +151,9 @@ SessionEnd AwaitShutdown(int fd, LineReader* reader) {
 // One connection's lifetime: hello, then request/run/result until the coordinator
 // says shutdown or the connection breaks. An honest result or error line shares one
 // write with the next request: the same bytes as two writes, one syscall and one
-// coordinator wake fewer.
+// coordinator wake fewer. Lines are read one per request, in order, so a job the
+// coordinator queued behind the running one is already waiting when the result goes
+// out, and the worker starts it without a round trip.
 SessionEnd RunSession(int fd, const WorkerConfig& config, FaultInjector* faults,
                       Heartbeat* heartbeat, WorkerStats* stats) {
   Message hello;

@@ -1,11 +1,12 @@
 // Campaign worker: runs jobs served by a Coordinator, heartbeating while it works.
 //
 // A worker is a deliberately simple loop - connect, hello, request, run, result,
-// repeat - because every robustness decision lives on the coordinator side. The
-// worker's one liveness duty is the heartbeat: the scenario runs on the session
-// thread while one heartbeat thread, alive for the whole RunWorker call, keeps
-// sending {"type":"heartbeat"} at a fixed cadence, so a long job is distinguishable
-// from a wedged worker.
+// repeat - because every robustness decision lives on the coordinator side, which
+// also queues the worker's next job behind its running one. The worker's one
+// liveness duty is the heartbeat: the scenario runs on the session thread while one
+// heartbeat thread, alive for the whole RunWorker call, keeps sending
+// {"type":"heartbeat"} at a fixed cadence, so a long job is distinguishable from a
+// wedged worker.
 //
 // A FaultPlan turns the worker into its own adversary for testing: on a faulted
 // execution it drops the connection mid-job (crash), goes silent without a result

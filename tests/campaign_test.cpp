@@ -4,12 +4,13 @@
 // fault-free serial run, and a killed coordinator resumes from its completion log
 // re-running only the jobs with no valid record.
 //
-// The clean tests (codec, wire, manifest, clean end-to-end) are safe under
-// sanitizers; the fault-driven tests (CampaignStressTest, resume) depend on
-// real-time heartbeat deadlines and are kept out of the sanitizer CTest regexes.
+// Every test runs under ASan+UBSan in CI; the TSan job runs CampaignServiceTest.
+// Those tests, the dealing and failure-accounting ones included, use no hang fault
+// and no tight deadline; CampaignStressTest depends on real-time heartbeat deadlines.
 // The clean long-job test has a deadline too, but a 20 ms heartbeat has 400 ms to
 // beat it, and instrumentation slows the jobs, not the beat.
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -682,6 +683,15 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
   return archive;
 }
 
+// Every job sent to a worker or run locally ends exactly once: completed, re-queued
+// after a failure, or released unstarted by a dropped connection.
+void ExpectDispatchBalances(const CoordinatorStats& s) {
+  EXPECT_EQ(s.dispatched + s.local_runs, s.completed + s.redispatched + s.released)
+      << "dispatched=" << s.dispatched << " local_runs=" << s.local_runs
+      << " completed=" << s.completed << " redispatched=" << s.redispatched
+      << " released=" << s.released;
+}
+
 WorkerConfig HonestWorker(const std::string& socket, const std::string& name) {
   WorkerConfig config;
   config.socket_path = socket;
@@ -731,13 +741,16 @@ TEST(CampaignServiceTest, DistributedCleanRunMatchesSerial) {
   EXPECT_EQ(stats.completed, 60);
   EXPECT_EQ(stats.local_runs, 0);
   EXPECT_EQ(stats.rejected_payloads, 0);
+  ExpectDispatchBalances(stats);
 }
 
 // Jobs that run several heartbeat timeouts long: the long-lived heartbeat thread must
 // keep each one alive, and must fall silent when its job ends. A late heartbeat for a
 // finished job reads as "heartbeat for wrong job": the coordinator drops the worker
 // (and re-dispatches whatever it held), so the worker would log a reconnect. With two
-// workers and three jobs, one worker idles on "wait" replies through the last job.
+// workers and three jobs, each worker's first job goes out alone, and so does the
+// third (one pending job is not more than one per worker): whichever worker finishes
+// first runs it, and the other idles on "wait" replies through the last job.
 TEST(CampaignServiceTest, LongJobsStayAliveOnHeartbeats) {
   SmokeGridSpec spec;
   spec.jobs = 4;
@@ -767,6 +780,181 @@ TEST(CampaignServiceTest, LongJobsStayAliveOnHeartbeats) {
     EXPECT_EQ(w.reconnects, 0);
   }
   EXPECT_EQ(worker_stats[0].jobs_run + worker_stats[1].jobs_run, 3);
+}
+
+// FaultPlan seed 3 draws 0.89 for job 0 and 0.45 for job 1, so at probability 0.5 a
+// lone worker's one fault lands on job 1: its second job, dealt together with job 2,
+// which waits queued behind it when the fault fires.
+constexpr uint64_t kSecondJobFaultSeed = 3;
+
+TEST(CampaignServiceTest, CrashWithAQueuedJobReleasesItUnstarted) {
+  const Manifest manifest = SmallManifest(12);
+  CoordinatorConfig config;
+  config.socket_path = TempPath("crashq.sock");
+  config.local_fallback_after_ms = -1;
+  config.backoff_base_ms = 1;
+  WorkerConfig worker = HonestWorker(config.socket_path, "crasher");
+  worker.faults.seed = kSecondJobFaultSeed;
+  worker.faults.crash = 0.5;
+  worker.faults.max_faults = 1;
+  CoordinatorStats stats;
+  std::vector<WorkerStats> worker_stats;
+  const std::string archive = RunCampaign(manifest, config, {worker}, &stats, &worker_stats);
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  ASSERT_EQ(worker_stats.size(), 1u);
+  EXPECT_EQ(worker_stats[0].faults_injected, 1);
+  // The running job used an attempt and is re-dispatched; the queued one comes back
+  // unstarted and is dealt again, so the campaign sends two jobs more than it has.
+  EXPECT_EQ(stats.worker_disconnects, 1);
+  EXPECT_EQ(stats.redispatched, 1);
+  EXPECT_EQ(stats.released, 1);
+  EXPECT_EQ(stats.dispatched, 12 + 2);
+  ExpectDispatchBalances(stats);
+}
+
+TEST(CampaignServiceTest, CorruptResultWithAQueuedJobIsRejectedAndReleasesIt) {
+  const Manifest manifest = SmallManifest(12);
+  CoordinatorConfig config;
+  config.socket_path = TempPath("corruptq.sock");
+  config.local_fallback_after_ms = -1;
+  config.backoff_base_ms = 1;
+  WorkerConfig worker = HonestWorker(config.socket_path, "liar");
+  worker.faults.seed = kSecondJobFaultSeed;
+  worker.faults.corrupt = 0.5;
+  worker.faults.max_faults = 1;
+  CoordinatorStats stats;
+  std::vector<WorkerStats> worker_stats;
+  const std::string archive = RunCampaign(manifest, config, {worker}, &stats, &worker_stats);
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  ASSERT_EQ(worker_stats.size(), 1u);
+  EXPECT_EQ(worker_stats[0].faults_injected, 1);
+  EXPECT_EQ(stats.rejected_payloads, 1);
+  EXPECT_EQ(stats.redispatched, 1);
+  EXPECT_EQ(stats.released, 1);
+  EXPECT_EQ(stats.worker_disconnects, 0);
+  EXPECT_EQ(stats.dispatched, 12 + 2);
+  ExpectDispatchBalances(stats);
+}
+
+// A connection's first job goes out alone, so the first worker to connect does not
+// take both jobs of a two-job campaign while the second idles. The second worker
+// starts once the first holds its first job, which runs for ~0.3 s.
+TEST(CampaignServiceTest, FirstJobIsDealtAloneSoEveryWorkerGetsOne) {
+  SmokeGridSpec spec;
+  spec.jobs = 3;
+  spec.seed = 7;
+  spec.duration = Sec(3000);  // ~0.3 s of wall time per UDP job in a Release build.
+  Manifest manifest = MakeSmokeGrid(spec);
+  manifest.jobs.erase(manifest.jobs.begin());  // Job 0 is a TCP job, 4x as slow.
+  CoordinatorConfig config;
+  config.socket_path = TempPath("first.sock");
+  config.local_fallback_after_ms = -1;
+  auto coordinator = std::make_unique<Coordinator>(manifest, config);
+  WorkerStats first;
+  WorkerStats second;
+  std::thread w1([&] { first = RunWorker(HonestWorker(config.socket_path, "w1")); });
+  std::thread w2([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    second = RunWorker(HonestWorker(config.socket_path, "w2"));
+  });
+  EXPECT_TRUE(coordinator->Run());
+  const CoordinatorStats stats = coordinator->stats();
+  const std::string archive = coordinator->EncodeArchiveBytes();
+  coordinator.reset();
+  w1.join();
+  w2.join();
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  EXPECT_EQ(first.jobs_run, 1);
+  EXPECT_EQ(second.jobs_run, 1);
+  ExpectDispatchBalances(stats);
+}
+
+// Reads the coordinator's next line, waiting for it; false on EOF or a bad line.
+bool ReadMessage(int fd, LineReader* reader, Message* msg) {
+  std::string line;
+  bool open = true;
+  while (!reader->NextLine(&line)) {
+    if (!open) {
+      return false;
+    }
+    if (WaitReadable(fd, 1000)) {
+      open = reader->Drain(fd);
+    }
+  }
+  return ParseMessage(line, msg);
+}
+
+// A job whose send fails never reached the worker: it goes back pending unstarted
+// and is not counted as dispatched. The connection is dropped at EOF, not at the
+// failed send, so a corrupt result the worker wrote before it closed is still read
+// and rejected. A hand-played peer makes the send fail on cue: it shuts its read side
+// before it asks for the job that would be queued behind its last one.
+TEST(CampaignServiceTest, FailedSendReleasesTheJobAndStillReadsThePeer) {
+  const Manifest manifest = SmallManifest(10);
+  CoordinatorConfig config;
+  config.socket_path = TempPath("sendfail.sock");
+  config.local_fallback_after_ms = -1;
+  config.backoff_base_ms = 1;
+  auto coordinator = std::make_unique<Coordinator>(manifest, config);
+  auto result_line = [&manifest](int64_t job, bool corrupt) {
+    const std::string blob =
+        EncodeResults(sweep::RunScenarioJob(ToScenarioJob(manifest.jobs[job])));
+    Message result;
+    result.type = "result";
+    result.job = job;
+    result.len = static_cast<int64_t>(blob.size());
+    result.crc = static_cast<int64_t>(Crc32(blob) ^ (corrupt ? 1u : 0u));
+    result.data = HexEncode(blob);
+    return FormatMessage(result);
+  };
+  Message request_msg;
+  request_msg.type = "request";
+  const std::string request = FormatMessage(request_msg);
+  std::vector<int64_t> peer_jobs;
+  std::thread peers([&] {
+    int fd = -1;
+    for (int i = 0; i < 1000 && (fd = ConnectUnix(config.socket_path)) < 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (fd < 0) {
+      return;
+    }
+    Message hello;
+    hello.type = "hello";
+    hello.protocol = kProtocolVersion;
+    LineReader reader;
+    Message msg;
+    // The first job comes alone, the next two in one write: one runs, one is queued.
+    SendLine(fd, FormatMessage(hello) + "\n" + request);
+    for (int i = 0; i < 3 && ReadMessage(fd, &reader, &msg) && msg.type == "job"; ++i) {
+      peer_jobs.push_back(msg.job);
+      if (i == 0) {
+        SendLine(fd, result_line(msg.job, false) + "\n" + request);
+      }
+    }
+    if (peer_jobs.size() == 3) {
+      // The result promotes the queued job, the request asks for one to queue behind
+      // it - a send to a peer that reads no more - and the corrupt result follows.
+      ::shutdown(fd, SHUT_RD);
+      SendLine(fd, result_line(peer_jobs[1], false) + "\n" + request + "\n" +
+                       result_line(peer_jobs[2], true));
+    }
+    ::close(fd);
+    RunWorker(HonestWorker(config.socket_path, "honest"));
+  });
+  EXPECT_TRUE(coordinator->Run());
+  const CoordinatorStats stats = coordinator->stats();
+  const std::string archive = coordinator->EncodeArchiveBytes();
+  coordinator.reset();
+  peers.join();
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  EXPECT_EQ(peer_jobs, (std::vector<int64_t>{0, 1, 2}));
+  EXPECT_EQ(stats.rejected_payloads, 1);
+  EXPECT_EQ(stats.redispatched, 1);  // The corrupt job; the failed send is none.
+  EXPECT_EQ(stats.released, 0);
+  EXPECT_EQ(stats.worker_disconnects, 0);
+  EXPECT_EQ(stats.dispatched, 10 + 1);
+  ExpectDispatchBalances(stats);
 }
 
 // The headline acceptance test: a large campaign where workers crash mid-job, hang
@@ -821,6 +1009,7 @@ TEST(CampaignStressTest, FaultRiddenCampaignMergesByteIdenticalToSerial) {
   EXPECT_GT(stats.worker_disconnects, 0) << "no crashes seen";
   EXPECT_GT(stats.heartbeat_timeouts, 0) << "no hangs seen";
   EXPECT_GT(stats.redispatched, 0);
+  ExpectDispatchBalances(stats);
 }
 
 TEST(CampaignResumeTest, KilledCoordinatorResumesOnlyIncompleteJobs) {

@@ -7,8 +7,10 @@
 #      corrupt/truncate/crash/hang on ~20%+ of first executions - plus one worker
 #      SIGKILLed from outside mid-campaign,
 #
-# and requires (a) the two archives to be byte-identical and (b) the coordinator's
-# stats line to prove the faults actually happened (rejected payloads > 0).
+# and requires (a) the two archives to be byte-identical, (b) the coordinator's
+# stats line to prove the faults actually happened (rejected payloads > 0), and (c)
+# that line to account for every dispatch: dispatched + local_runs == completed +
+# redispatched + released.
 #
 # Usage: tools/campaign_smoke.sh <path-to-tbf-campaign-binary> [workdir]
 set -euo pipefail
@@ -103,4 +105,24 @@ case "$STATS" in
     exit 1
     ;;
 esac
+# Every job sent or run locally must end exactly once: completed, re-queued after a
+# failure, or released unstarted by a dropped connection.
+declare -A FIELD
+for kv in ${STATS#coordinate: }; do
+  FIELD[${kv%%=*}]=${kv#*=}
+done
+for key in dispatched local_runs completed redispatched released; do
+  if [ -z "${FIELD[$key]:-}" ]; then
+    echo "FAIL: the stats line has no $key= field" >&2
+    exit 1
+  fi
+done
+SENT=$(( FIELD[dispatched] + FIELD[local_runs] ))
+ENDED=$(( FIELD[completed] + FIELD[redispatched] + FIELD[released] ))
+if [ "$SENT" -ne "$ENDED" ]; then
+  echo "FAIL: dispatched + local_runs = $SENT, but completed + redispatched +" \
+    "released = $ENDED" >&2
+  exit 1
+fi
+echo "dispatch identity: $SENT sent = $ENDED ended: OK"
 echo "== campaign smoke: PASS"

@@ -169,11 +169,12 @@ int RunCoordinate(const Args& args) {
   const bool finished = coordinator.Run();
   const CoordinatorStats& s = coordinator.stats();
   // One parseable stats line; the CI smoke script greps it to assert the faults it
-  // injected were actually seen and survived.
+  // injected were actually seen and survived, and that every dispatch is accounted
+  // for: dispatched + local_runs == completed + redispatched + released.
   std::printf(
       "coordinate: finished=%d completed=%lld resumed=%lld dispatched=%lld "
       "redispatched=%lld rejected=%lld disconnects=%lld heartbeat_timeouts=%lld "
-      "deadline_timeouts=%lld worker_errors=%lld local_runs=%lld\n",
+      "deadline_timeouts=%lld worker_errors=%lld local_runs=%lld released=%lld\n",
       finished ? 1 : 0, static_cast<long long>(s.completed),
       static_cast<long long>(s.resumed), static_cast<long long>(s.dispatched),
       static_cast<long long>(s.redispatched),
@@ -182,7 +183,7 @@ int RunCoordinate(const Args& args) {
       static_cast<long long>(s.heartbeat_timeouts),
       static_cast<long long>(s.deadline_timeouts),
       static_cast<long long>(s.worker_errors),
-      static_cast<long long>(s.local_runs));
+      static_cast<long long>(s.local_runs), static_cast<long long>(s.released));
   if (!finished) {
     return 3;  // Halted by --halt-after; resume with the same --wal to finish.
   }
