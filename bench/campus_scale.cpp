@@ -155,9 +155,9 @@ int main() {
                   std::to_string(results.cross_shard_packets),
                   std::to_string(results.backbone_drops)});
     PrintTaskLatencySeries(row, results.task_latency_series);
-    std::printf("[wall] %s %dx%d: %.2f s wall, %d shard threads, metrology %.1f KB, "
+    std::printf("[wall] %s %dx%d: %.1f ms wall, %d shard threads, metrology %.1f KB, "
                 "peak rss %.1f MB\n",
-                row.name, row.aps, row.stations_per_ap, wall_sec,
+                row.name, row.aps, row.stations_per_ap, wall_sec * 1e3,
                 campus.thread_count(), campus.MetrologyBytes() / 1024.0,
                 PeakRssBytes() / (1024.0 * 1024.0));
 
@@ -185,9 +185,9 @@ int main() {
               "mark, and the window count\nis ceil(simulated time / lookahead) - the "
               "conservative horizon at work. The table\nand [series] lines are "
               "bit-identical for any TBF_SHARD_THREADS; only the [wall]\nlines move.\n");
-  std::printf("\n[wall] campus suite: %zu campuses in %.2f s wall on %d shard threads, "
+  std::printf("\n[wall] campus suite: %zu campuses in %.1f ms wall on %d shard threads, "
               "peak rss %.1f MB\n",
-              rows.size(), suite_wall_sec, shard_threads,
+              rows.size(), suite_wall_sec * 1e3, shard_threads,
               PeakRssBytes() / (1024.0 * 1024.0));
 
   if (!ok) {
