@@ -305,14 +305,19 @@ void Coordinator::HandleRequest(Conn& conn) {
   }
   if (!SendLine(conn.fd, lines)) {
     // A send fails only once the peer has gone, so no job in it reached the worker:
-    // each goes back unstarted and is not counted as dispatched. The connection is
-    // dropped when its read side reports EOF, not here, so a result the worker wrote
-    // before it closed is still handled. The half-close tells a peer that somehow
-    // still reads to close as well.
+    // each goes back unstarted and is not counted as dispatched. With no running job
+    // nothing the peer sent later can be merged, so the connection goes now. With
+    // one, the worker may have written its result before it closed: the connection
+    // is dropped when its read side reports EOF, so that result is still handled, and
+    // the half-close tells a peer that somehow still reads to close as well.
     for (int i = 0; i < count; ++i) {
       ReleaseJob(picked[i]);
     }
-    ::shutdown(conn.fd, SHUT_WR);
+    if (conn.job < 0) {
+      DropConn(conn, "send failed");
+    } else {
+      ::shutdown(conn.fd, SHUT_WR);
+    }
     return;
   }
   stats_.dispatched += count;

@@ -26,9 +26,10 @@
 //    takes the campaign down loudly (CampaignError) instead of spinning forever.
 //  * A queued job the worker never started goes back pending unstarted, whatever
 //    ended its connection: no attempt, no backoff, no re-dispatch. So does a job
-//    whose send failed, which is not counted as dispatched either. Every campaign
-//    that finishes balances dispatched + local_runs == completed + redispatched +
-//    released.
+//    whose send failed, which is not counted as dispatched either. That connection
+//    is dropped at once, unless it runs a job whose result may still be on its way:
+//    then it is dropped at EOF, after that result. Every campaign that finishes
+//    balances dispatched + local_runs == completed + redispatched + released.
 //  * Completions go through a write-ahead log: the record (job id + length + CRC +
 //    payload) is appended and flushed *before* the job is counted done, so a
 //    coordinator killed at any instant resumes by re-running only jobs with no valid
@@ -63,8 +64,10 @@ struct CoordinatorConfig {
   std::string wal_path;
 
   // Re-dispatch policy.
-  int max_attempts = 8;           // Dispatches per job before CampaignError.
-  int job_timeout_ms = 60000;     // Absolute deadline per dispatch.
+  int max_attempts = 8;           // Dispatches of a job that a worker started, local
+                                  // runs included, before CampaignError.
+  int job_timeout_ms = 60000;     // Absolute deadline per running job, from when it
+                                  // starts running.
   int heartbeat_timeout_ms = 5000;
   int backoff_base_ms = 50;       // Exponential: base * 2^(attempt-1), capped below.
   int backoff_max_ms = 2000;
@@ -119,7 +122,8 @@ class Coordinator {
 
   struct JobState {
     JobStatus status = JobStatus::kPending;
-    int attempts = 0;                    // Dispatches so far (local runs included).
+    int attempts = 0;                    // Dispatches a worker started so far (local
+                                         // runs included).
     Clock::time_point not_before{};      // Backoff gate for the next dispatch.
   };
 

@@ -9,6 +9,7 @@
 // and no tight deadline; CampaignStressTest depends on real-time heartbeat deadlines.
 // The clean long-job test has a deadline too, but a 20 ms heartbeat has 400 ms to
 // beat it, and instrumentation slows the jobs, not the beat.
+#include <poll.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -885,9 +886,9 @@ bool ReadMessage(int fd, LineReader* reader, Message* msg) {
 }
 
 // A job whose send fails never reached the worker: it goes back pending unstarted
-// and is not counted as dispatched. The connection is dropped at EOF, not at the
-// failed send, so a corrupt result the worker wrote before it closed is still read
-// and rejected. A hand-played peer makes the send fail on cue: it shuts its read side
+// and is not counted as dispatched. A connection that runs a job is dropped at EOF,
+// not at the failed send, so a corrupt result the worker wrote before it closed is
+// still read and rejected. A hand-played peer makes the send fail on cue: it shuts its read side
 // before it asks for the job that would be queued behind its last one.
 TEST(CampaignServiceTest, FailedSendReleasesTheJobAndStillReadsThePeer) {
   const Manifest manifest = SmallManifest(10);
@@ -954,6 +955,55 @@ TEST(CampaignServiceTest, FailedSendReleasesTheJobAndStillReadsThePeer) {
   EXPECT_EQ(stats.released, 0);
   EXPECT_EQ(stats.worker_disconnects, 0);
   EXPECT_EQ(stats.dispatched, 10 + 1);
+  ExpectDispatchBalances(stats);
+}
+
+// With no running job, nothing a peer sends after a failed send can be merged, so the
+// connection goes at once: a peer that shut only its read side and stays connected
+// must not hold the campaign up, counted as a worker that never gets a deadline. The
+// hand-played peer's first request is the failed send; it then waits for the
+// coordinator to hang up before it closes, and an honest worker runs the campaign.
+TEST(CampaignServiceTest, FailedSendWithNoRunningJobDropsThePeerAtOnce) {
+  const Manifest manifest = SmallManifest(4);
+  CoordinatorConfig config;
+  config.socket_path = TempPath("sendfail_idle.sock");
+  config.local_fallback_after_ms = -1;
+  config.backoff_base_ms = 1;
+  auto coordinator = std::make_unique<Coordinator>(manifest, config);
+  bool hung_up = false;
+  std::thread peers([&] {
+    int fd = -1;
+    for (int i = 0; i < 1000 && (fd = ConnectUnix(config.socket_path)) < 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (fd < 0) {
+      return;
+    }
+    Message hello;
+    hello.type = "hello";
+    hello.protocol = kProtocolVersion;
+    Message request;
+    request.type = "request";
+    ::shutdown(fd, SHUT_RD);
+    SendLine(fd, FormatMessage(hello) + "\n" + FormatMessage(request));
+    // Polled for no event, the socket reports only a hang-up: the coordinator closed
+    // its end. A connection kept open waits out the whole 10 s.
+    pollfd pfd{fd, 0, 0};
+    hung_up = ::poll(&pfd, 1, 10000) == 1 && (pfd.revents & POLLHUP) != 0;
+    ::close(fd);
+    RunWorker(HonestWorker(config.socket_path, "honest"));
+  });
+  EXPECT_TRUE(coordinator->Run());
+  const CoordinatorStats stats = coordinator->stats();
+  const std::string archive = coordinator->EncodeArchiveBytes();
+  coordinator.reset();
+  peers.join();
+  EXPECT_TRUE(hung_up);
+  EXPECT_EQ(archive, RunSerialArchive(manifest));
+  EXPECT_EQ(stats.dispatched, 4);  // The failed send is not counted.
+  EXPECT_EQ(stats.released, 0);
+  EXPECT_EQ(stats.redispatched, 0);
+  EXPECT_EQ(stats.worker_disconnects, 0);
   ExpectDispatchBalances(stats);
 }
 
