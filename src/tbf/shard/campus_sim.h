@@ -18,8 +18,9 @@
 // depend only on shard state; and the coordinator drains mailboxes in a fixed order
 // (per cell ascending: core->cell first, then cell->core), so equal-timestamp delivery
 // events always carry the same schedule sequence numbers. Results are therefore
-// bit-identical for any shard-thread count and any thread schedule - CI diffs the
-// campus bench output across TBF_SHARD_THREADS=1/2/3/4 to hold that line.
+// bit-identical for any shard-thread count and any thread schedule - the
+// Golden.bench_campus_scale ctest diffs the campus bench output against its golden
+// at TBF_SHARD_THREADS=1/2/3/4 to hold that line.
 #ifndef TBF_SHARD_CAMPUS_SIM_H_
 #define TBF_SHARD_CAMPUS_SIM_H_
 
